@@ -970,7 +970,7 @@ fn bench_streaming() {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(rows, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let refs: Vec<&Table> = tables.iter().collect();
     let vocab = build_vocab(&refs, &[], 1, 8000);
     let encoder = TupleEncoder::new(vocab.clone(), EncoderOptions::default());
@@ -998,7 +998,7 @@ fn bench_streaming() {
     // examples consumed per run x mean tokens per example — the tokens/sec
     // denominator every arm shares
     let tokens_per_run = (steps * 8) as f64 * mean_ids;
-    let mut run = |source: Box<dyn ShardSource>, prefetch: bool| -> (Duration, Vec<u32>) {
+    let run = |source: Box<dyn ShardSource>, prefetch: bool| -> (Duration, Vec<u32>) {
         let opts = StreamOpts {
             accum_steps: 1,
             prefetch,
@@ -1122,7 +1122,7 @@ fn main() {
         "micro benchmarks: {samples} samples, ~{measure:?} measurement, {warm_up:?} warm-up\n"
     );
     for (name, run) in groups {
-        if filter.as_deref().map_or(true, |f| name.contains(f)) {
+        if filter.as_deref().is_none_or(|f| name.contains(f)) {
             run();
         }
     }

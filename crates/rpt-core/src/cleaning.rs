@@ -422,7 +422,7 @@ impl RptC {
                     TRAIN_OBS.tokens_per_sec.set(toks as f64 / secs);
                 }
             }
-            if trainer.steps_done() % progress_every == 0 || trainer.finished() {
+            if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
                 rpt_obs::info!(
                     target: "rpt::progress",
                     "step {}/{} loss {:.4}",
@@ -624,7 +624,7 @@ impl RptC {
                     TRAIN_OBS.tokens_per_sec.set(step_tokens as f64 / secs);
                 }
             }
-            if trainer.steps_done() % progress_every == 0 || trainer.finished() {
+            if trainer.steps_done().is_multiple_of(progress_every) || trainer.finished() {
                 rpt_obs::info!(
                     target: "rpt::progress",
                     "step {}/{} loss {:.4}",

@@ -688,6 +688,8 @@ impl ShardStream {
     }
 
     /// The next `(epoch, shard index, examples)` in stream order.
+    // Fallible and never-ending, so not an `Iterator`.
+    #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<(u64, u64, Vec<EncodedExample>), CorpusError> {
         let (e, s, examples, load_ms) = match &mut self.feed {
             ShardFeed::Sync {
@@ -796,6 +798,8 @@ impl StreamCursor {
     /// The next example in corpus order, crossing shard (and epoch)
     /// boundaries as needed — at each new shard the masking RNG reseeds
     /// from the shard key.
+    // Fallible and never-ending, so not an `Iterator`.
+    #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<EncodedTuple, CorpusError> {
         while self.examples.is_empty() {
             let (e, s, examples) = self.stream.next()?;

@@ -72,6 +72,10 @@ impl Default for TrainOpts {
     }
 }
 
+/// One shard's contribution to an accumulation window: `(loss, weight,
+/// raw grads)`.
+type ShardGrads = (f32, f32, Vec<(ParamId, Tensor)>);
+
 /// Drives Adam + Noam over successive tapes.
 pub struct Trainer {
     opts: TrainOpts,
@@ -81,7 +85,7 @@ pub struct Trainer {
     /// Open gradient-accumulation window: one `(loss, weight, raw grads)`
     /// entry per shard folded so far, in fold order. Empty outside a
     /// window.
-    pending: Vec<(f32, f32, Vec<(ParamId, Tensor)>)>,
+    pending: Vec<ShardGrads>,
 }
 
 fn fresh_adam(opts: &TrainOpts) -> Adam {
@@ -229,7 +233,7 @@ impl Trainer {
     /// the float operations `step_data_parallel` has always run.
     fn reduce_window(
         n_params: usize,
-        pending: Vec<(f32, f32, Vec<(ParamId, Tensor)>)>,
+        pending: Vec<ShardGrads>,
     ) -> (f32, Vec<(ParamId, Tensor)>) {
         let total_w: f32 = pending.iter().map(|(_, w, _)| *w).sum();
         let mut loss_value = 0.0f32;
@@ -358,7 +362,7 @@ impl Trainer {
     pub fn checkpoint_due(&self) -> bool {
         match self.ckpt_every {
             Some(every) => {
-                self.steps_done() > 0 && (self.steps_done() % every == 0 || self.finished())
+                self.steps_done() > 0 && (self.steps_done().is_multiple_of(every) || self.finished())
             }
             None => false,
         }

@@ -107,17 +107,11 @@ impl Json {
         parse(text)
     }
 
-    /// Compact serialization.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        write::compact(self, &mut out);
-        out
-    }
-
-    /// Pretty serialization (2-space indent, like `serde_json`).
+    /// Pretty serialization (2-space indent, like `serde_json`). The
+    /// compact form is the [`std::fmt::Display`] impl (`to_string()`).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        write::pretty(self, 0, &mut out);
+        write::pretty(self, 0, &mut out).expect("writing to a String cannot fail");
         out
     }
 
@@ -189,9 +183,10 @@ impl Json {
     }
 }
 
+/// Compact serialization: `json.to_string()` is the wire form.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_string())
+        write::compact(self, f)
     }
 }
 
@@ -271,7 +266,10 @@ impl From<f64> for Json {
     }
 }
 
+// `json!` array literals expand to `Vec::new()` + pushes; clippy flags
+// that only inside the crate defining the macro.
 #[cfg(test)]
+#[allow(clippy::vec_init_then_push)]
 mod tests {
     use super::*;
 

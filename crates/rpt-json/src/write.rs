@@ -1,111 +1,113 @@
-//! Serialization: compact and pretty writers.
+//! Serialization: compact and pretty writers, generic over
+//! [`fmt::Write`] so `Display` streams straight into its formatter.
+
+use std::fmt::{self, Write};
 
 use crate::Json;
 
 /// Appends the escaped, quoted form of `s`.
-pub(crate) fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
+pub(crate) fn escape_into<W: Write>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            '\u{8}' => out.write_str("\\b")?,
+            '\u{c}' => out.write_str("\\f")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    out.push('"');
+    out.write_char('"')
 }
 
 /// A number token. Rust's `Display` for `f64` is shortest-round-trip and
 /// never uses exponent notation, so the output is always valid JSON;
 /// non-finite values become `null` (as `serde_json` does).
-fn number_into(f: f64, out: &mut String) {
-    if f.is_finite() {
-        let s = format!("{f}");
-        out.push_str(&s);
-        // keep floats recognizably floats ("2" -> "2.0")
-        if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            out.push_str(".0");
-        }
-    } else {
-        out.push_str("null");
+fn number_into<W: Write>(f: f64, out: &mut W) -> fmt::Result {
+    if !f.is_finite() {
+        return out.write_str("null");
     }
+    let s = format!("{f}");
+    out.write_str(&s)?;
+    // keep floats recognizably floats ("2" -> "2.0")
+    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+        out.write_str(".0")?;
+    }
+    Ok(())
 }
 
-pub(crate) fn compact(v: &Json, out: &mut String) {
+pub(crate) fn compact<W: Write>(v: &Json, out: &mut W) -> fmt::Result {
     match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(i) => out.push_str(&i.to_string()),
+        Json::Null => out.write_str("null"),
+        Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Json::Int(i) => write!(out, "{i}"),
         Json::Float(f) => number_into(*f, out),
         Json::Str(s) => escape_into(s, out),
         Json::Array(items) => {
-            out.push('[');
+            out.write_char('[')?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                compact(item, out);
+                compact(item, out)?;
             }
-            out.push(']');
+            out.write_char(']')
         }
         Json::Object(map) => {
-            out.push('{');
+            out.write_char('{')?;
             for (i, (k, val)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
-                escape_into(k, out);
-                out.push(':');
-                compact(val, out);
+                escape_into(k, out)?;
+                out.write_char(':')?;
+                compact(val, out)?;
             }
-            out.push('}');
+            out.write_char('}')
         }
     }
 }
 
-fn indent(level: usize, out: &mut String) {
+fn indent<W: Write>(level: usize, out: &mut W) -> fmt::Result {
     for _ in 0..level {
-        out.push_str("  ");
+        out.write_str("  ")?;
     }
+    Ok(())
 }
 
-pub(crate) fn pretty(v: &Json, level: usize, out: &mut String) {
+pub(crate) fn pretty<W: Write>(v: &Json, level: usize, out: &mut W) -> fmt::Result {
     match v {
         Json::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
+            out.write_str("[\n")?;
             for (i, item) in items.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.write_str(",\n")?;
                 }
-                indent(level + 1, out);
-                pretty(item, level + 1, out);
+                indent(level + 1, out)?;
+                pretty(item, level + 1, out)?;
             }
-            out.push('\n');
-            indent(level, out);
-            out.push(']');
+            out.write_char('\n')?;
+            indent(level, out)?;
+            out.write_char(']')
         }
         Json::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
+            out.write_str("{\n")?;
             for (i, (k, val)) in map.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(",\n");
+                    out.write_str(",\n")?;
                 }
-                indent(level + 1, out);
-                escape_into(k, out);
-                out.push_str(": ");
-                pretty(val, level + 1, out);
+                indent(level + 1, out)?;
+                escape_into(k, out)?;
+                out.write_str(": ")?;
+                pretty(val, level + 1, out)?;
             }
-            out.push('\n');
-            indent(level, out);
-            out.push('}');
+            out.write_char('\n')?;
+            indent(level, out)?;
+            out.write_char('}')
         }
         other => compact(other, out),
     }

@@ -11,12 +11,17 @@
 //! ## Cache-slot pooling
 //!
 //! Each admitted request owns a contiguous block of rows ("slot") in the
-//! fused per-layer KV caches (`[rows*h, t, dh]`). Admission encodes the
-//! request's source exactly as `begin_decode` would, zero-pads its
-//! cross-attention K/V from its own source length to the fused source
-//! width — the longest *live* source, grown on demand when a longer one
-//! arrives (masked with `NEG_INF`, so the padding is softmax-invisible) —
-//! and appends the rows with [`rpt_tensor::Tensor::concat_dim0`].
+//! fused per-layer KV caches (`[rows*h, t, dh]`). Admission is two
+//! halves: *encode* ([`Seq2Seq::begin_request`], exactly what
+//! `begin_decode` runs) and *append* ([`MicroBatcher::admit_encoded`]).
+//! [`MicroBatcher::admit`] runs both; a server can run the encode on
+//! another thread over a cloned [`ParamStore`] and hand the result to
+//! `admit_encoded` (the encode reads the parameters only). The append
+//! zero-pads the request's cross-attention K/V from its own source
+//! length to the fused source width — the longest *live* source, grown
+//! on demand when a longer one arrives (masked with `NEG_INF`, so the
+//! padding is softmax-invisible) — and appends the rows with
+//! [`rpt_tensor::Tensor::concat_dim0`].
 //! Completion drops the slot's rows in the same gather that applies beam
 //! reordering.
 //! Requests may join mid-flight: a slot admitted when the fused cache
@@ -96,7 +101,8 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
-    fn src(&self) -> &TokenBatch {
+    /// The job's source batch (`b == 1`) — what admission encodes.
+    pub fn src(&self) -> &TokenBatch {
         match self {
             JobSpec::Greedy { src, .. }
             | JobSpec::Beam { src, .. }
@@ -435,12 +441,26 @@ impl MicroBatcher {
         self.slots.is_empty()
     }
 
-    /// Admits a job: encodes its source (identically to `begin_decode`),
-    /// pads its cross K/V to the fused width, front-pads its self K/V to
-    /// the current fused decode length, and appends its rows to the pooled
-    /// caches. `id` tags the job's entry in [`Self::step`] results.
+    /// Admits a job: encodes its source (identically to `begin_decode`)
+    /// and appends it with [`Self::admit_encoded`]. `id` tags the job's
+    /// entry in [`Self::step`] results.
     pub fn admit(&mut self, model: &Seq2Seq, params: &mut ParamStore, id: u64, spec: JobSpec) {
-        let (req_layers, cross_row) = model.begin_request(params, spec.src());
+        let (layers, cross_row) = model.begin_request(params, spec.src());
+        self.admit_encoded(id, spec, layers, cross_row);
+    }
+
+    /// Admits a job whose source is already encoded: `layers` and
+    /// `cross_row` are [`Seq2Seq::begin_request`] of `spec.src()` under
+    /// the parameters this batcher steps with. Pads the job's cross K/V to
+    /// the fused width, front-pads its self K/V to the current fused
+    /// decode length, and appends its rows to the pooled caches.
+    pub fn admit_encoded(
+        &mut self,
+        id: u64,
+        spec: JobSpec,
+        layers: Vec<LayerKv>,
+        cross_row: Vec<f32>,
+    ) {
         if cross_row.len() > self.t_src {
             self.grow_src(cross_row.len());
         }
@@ -449,7 +469,7 @@ impl MicroBatcher {
 
         let h = self.n_heads;
         let dh = self.d_head;
-        for (li, mut lk) in req_layers.into_iter().enumerate() {
+        for (li, mut lk) in layers.into_iter().enumerate() {
             lk.cross_k = pad_dim1(&lk.cross_k, self.t_src);
             lk.cross_v = pad_dim1(&lk.cross_v, self.t_src);
             lk.cross_kt = pad_dim2(&lk.cross_kt, self.t_src);
@@ -760,7 +780,7 @@ fn pad_dim2(t: &Tensor, t_target: usize) -> Tensor {
     let mut out = Vec::with_capacity(b * d * t_target);
     for row in 0..b * d {
         out.extend_from_slice(&src[row * tt..(row + 1) * tt]);
-        out.extend(std::iter::repeat(0.0).take(t_target - tt));
+        out.extend(std::iter::repeat_n(0.0, t_target - tt));
     }
     Tensor::from_vec(out, &[b, d, t_target]).expect("pad_dim2 shape")
 }
@@ -1080,6 +1100,88 @@ mod tests {
         assert_hyps_bit_identical(expect_beam(&results[1].1), &b1);
         assert_eq!(expect_greedy(&results[2].1), g2.as_slice());
         assert_hyps_bit_identical(expect_beam(&results[3].1), &b2);
+    }
+
+    #[test]
+    fn encode_on_another_thread_then_admit_encoded_matches_admit() {
+        // The server's split: the encode runs on a prefill thread over a
+        // cloned ParamStore, the append on the batcher. Outputs must be
+        // bit-identical to the one-call `admit` for every job kind.
+        let (model, mut params) = trained_copy_model();
+        let cfg = BeamConfig {
+            width: 4,
+            max_steps: 8,
+            len_penalty: 1.0,
+        };
+        let specs = vec![
+            JobSpec::Greedy {
+                src: src_of(&[9, 10, 11]),
+                bos: BOS,
+                eos: EOS,
+                max_steps: 8,
+            },
+            JobSpec::Beam {
+                src: src_of(&[10, 9]),
+                bos: BOS,
+                eos: EOS,
+                cfg,
+            },
+            JobSpec::Forced {
+                src: src_of(&[11, 9]),
+                bos: BOS,
+                eos: EOS,
+                targets: vec![11, 9],
+            },
+        ];
+
+        let mut whole = MicroBatcher::new(&model, &mut params);
+        for (i, spec) in specs.iter().enumerate() {
+            whole.admit(&model, &mut params, i as u64, spec.clone());
+        }
+        let want = drain(&mut whole, &model, &mut params);
+
+        let encoded = std::thread::scope(|s| {
+            let mut remote = params.clone();
+            let (model, specs) = (&model, &specs);
+            s.spawn(move || {
+                specs
+                    .iter()
+                    .map(|spec| model.begin_request(&mut remote, spec.src()))
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .expect("prefill thread")
+        });
+        let mut split = MicroBatcher::new(&model, &mut params);
+        for (i, (spec, (layers, cross_row))) in specs.iter().zip(encoded).enumerate() {
+            split.admit_encoded(i as u64, spec.clone(), layers, cross_row);
+        }
+        let got = drain(&mut split, &model, &mut params);
+
+        assert_eq!(got.len(), 3);
+        assert_eq!(
+            expect_greedy(&got[0].1),
+            expect_greedy(&want[0].1),
+            "greedy"
+        );
+        assert_hyps_bit_identical(expect_beam(&got[1].1), expect_beam(&want[1].1));
+        match (&got[2].1, &want[2].1) {
+            (
+                JobOutput::Forced {
+                    total_logprob: a,
+                    per_token: pa,
+                },
+                JobOutput::Forced {
+                    total_logprob: b,
+                    per_token: pb,
+                },
+            ) => {
+                assert_eq!(a.to_bits(), b.to_bits(), "forced total");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(pa), bits(pb), "forced per-token");
+            }
+            other => panic!("expected forced outputs, got {other:?}"),
+        }
     }
 
     #[test]

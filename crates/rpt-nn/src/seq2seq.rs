@@ -84,6 +84,10 @@ impl TransformerConfig {
 /// The encoder-decoder model. Token embeddings are tied with the output
 /// projection (`logits = h · Eᵀ`), halving the parameter count — standard
 /// for BART-class models and important at this scale.
+///
+/// Cloning is cheap: the model holds parameter ids, not weights (those
+/// live in a [`ParamStore`]), and shares its int8 set through an `Arc`.
+#[derive(Clone)]
 pub struct Seq2Seq {
     cfg: TransformerConfig,
     tok_emb: Embedding,
@@ -513,6 +517,7 @@ pub struct DenoisingShard {
 /// Shard `i` gets dropout seed `base_seed + i·φ` (golden-ratio stride), so
 /// shard 0 of a single-shard step draws exactly `base_seed` — preserving
 /// the serial training trajectory bit-for-bit.
+#[allow(clippy::too_many_arguments)]
 pub fn make_denoising_shards(
     srcs: &[crate::batch::Sequence],
     tgts: &[Vec<usize>],

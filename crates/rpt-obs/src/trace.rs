@@ -717,13 +717,23 @@ pub fn tracez_json(max_traces: usize) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
 
-    // Tests share one process-global ring; each test clears it and uses
-    // distinct span names so concurrent tests cannot confuse each other's
-    // assertions beyond ring sharing (assertions filter by name).
+    // Tests share one process-global ring and one global gate. Every test
+    // holds `GATE` for its whole body, so no test can flip the gate (or
+    // race the ring) under another; distinct span names keep assertions
+    // independent of what earlier tests left in the ring.
+    static GATE: Mutex<()> = Mutex::new(());
+
+    /// Serializes a trace test; a failed (panicked) sibling does not
+    /// poison the rest.
+    fn serialized() -> MutexGuard<'static, ()> {
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn spans_nest_and_reconstruct() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         let _ctx = trace_context(tid, 0);
@@ -752,9 +762,9 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing() {
+        let _gate = serialized();
         // Use explicit emits with a sentinel name; flip the gate off just
-        // around them (other tests may re-enable concurrently, so scan
-        // for the sentinel rather than asserting global emptiness).
+        // around them.
         set_trace_enabled(false);
         let before = trace_events()
             .iter()
@@ -777,6 +787,7 @@ mod tests {
 
     #[test]
     fn emit_span_records_cross_thread_stages() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.stage.root", 100);
@@ -800,6 +811,7 @@ mod tests {
 
     #[test]
     fn profile_aggregates_self_time() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.prof.root", 0);
@@ -833,6 +845,7 @@ mod tests {
 
     #[test]
     fn ring_wrap_counts_overwritten_events() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let stats = trace_stats();
         assert_eq!(stats.capacity, RING_CAPACITY as u64);
@@ -841,6 +854,7 @@ mod tests {
 
     #[test]
     fn dump_round_trips_through_rpt_json() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         emit_span(tid, 0, "t.dump.span", 5, 15);
@@ -856,6 +870,7 @@ mod tests {
 
     #[test]
     fn dump_parses_back_into_spans() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.parse.root", 10);
@@ -876,6 +891,7 @@ mod tests {
 
     #[test]
     fn tracez_reports_recent_traces() {
+        let _gate = serialized();
         set_trace_enabled(true);
         let tid = next_trace_id();
         let root = begin_span(tid, 0, "t.tracez.request", 1000);

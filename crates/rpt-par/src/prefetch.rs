@@ -81,6 +81,8 @@ impl<T: Send + 'static> Prefetcher<T> {
 
     /// Blocks until the next item is ready. `Ok(None)` is the clean end of
     /// the stream; [`PrefetchError`] means the producer died mid-stream.
+    // Fallible (`Result<Option<_>>`), so not an `Iterator`.
+    #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<T>, PrefetchError> {
         if self.failed {
             return Err(PrefetchError::WorkerPanicked);

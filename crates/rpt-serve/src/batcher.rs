@@ -1,7 +1,8 @@
-//! The micro-batching loop: a bounded queue of decode jobs feeding one
-//! batcher thread that advances every admitted request through fused
-//! [`rpt_nn::MicroBatcher`] steps, with drain-then-swap checkpoint
-//! hot-reload between batches.
+//! The micro-batching loop: a bounded queue of decode jobs, one prefill
+//! thread that encodes them ([`crate::prefill`]), and one batcher thread
+//! that appends the pre-encoded jobs and advances every admitted request
+//! through fused [`rpt_nn::MicroBatcher`] steps, with drain-then-swap
+//! checkpoint hot-reload between batches.
 //!
 //! ## Hot reload
 //!
@@ -13,12 +14,14 @@
 //! `load_file`, increments `serve.reload_errors`, and leaves the old
 //! parameters serving; the attempt is not retried until the stat changes
 //! again. On success the clone is swapped in, the tied projection is
-//! rebuilt, and `serve.model_generation` increments.
+//! rebuilt, `serve.model_generation` increments, and the new parameter
+//! set is published to the prefill thread. Jobs the prefill thread
+//! encoded under the old generation are re-encoded at admission.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
 use rpt_nn::{JobOutput, JobSpec, MicroBatcher, Seq2Seq};
@@ -26,6 +29,7 @@ use rpt_tensor::serialize::load_file;
 use rpt_tensor::ParamStore;
 
 use crate::obs::SERVE_OBS;
+use crate::prefill::{latest, Prefilled, Snapshot, SnapshotCell};
 
 /// One queued decode request: the job plus the channel its result goes
 /// back on, tagged with the parameter generation that served it. The
@@ -44,15 +48,17 @@ pub(crate) struct Job {
 /// Stage durations shared back to the connection handler so the optional
 /// `X-Rpt-Trace` response header can summarize them (nanoseconds; 0 =
 /// stage not finished).
+#[derive(Default)]
 pub(crate) struct StageNs {
     pub queue_wait: AtomicU64,
+    pub prefill: AtomicU64,
     pub batch_wait: AtomicU64,
     pub decode: AtomicU64,
 }
 
 /// The trace identity a request carries across the queue: span parents
-/// for the stage spans the batcher emits, plus the enqueue timestamp
-/// (`rpt_obs::now_ns`) where queue_wait starts.
+/// for the stage spans the prefill and batcher threads emit, plus the
+/// enqueue timestamp (`rpt_obs::now_ns`) where queue_wait starts.
 pub(crate) struct JobTrace {
     pub trace_id: u64,
     pub root: u64,
@@ -63,7 +69,8 @@ pub(crate) struct JobTrace {
 /// Batcher-side stage bookkeeping for one admitted traced job.
 struct PendingTrace {
     meta: JobTrace,
-    admit_ns: u64,
+    /// When the job's encode finished (batch_wait starts).
+    encoded_ns: u64,
     /// Set when the job's first fused step begins (batch_wait ends).
     first_step_ns: Option<u64>,
 }
@@ -76,9 +83,11 @@ struct PendingJob {
     trace: Option<PendingTrace>,
 }
 
-/// State shared between connection handlers and the batcher thread.
+/// State shared between connection handlers and the prefill and batcher
+/// threads.
 pub(crate) struct BatcherShared {
-    /// Jobs currently sitting in the bounded queue.
+    /// Jobs submitted but not yet admitted (queued, prefilling, or
+    /// prefilled); submission refuses past `queue_cap`.
     pub queue_depth: AtomicUsize,
     /// Parameter generation currently serving (for `/healthz`).
     pub generation: AtomicU64,
@@ -86,11 +95,21 @@ pub(crate) struct BatcherShared {
     pub shutdown: AtomicBool,
 }
 
+impl BatcherShared {
+    /// Counts one job out of the waiting set (admitted or dropped).
+    pub fn leave_queue(&self) {
+        let depth = self.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
+        SERVE_OBS.queue_depth.set(depth as f64);
+    }
+}
+
 pub(crate) struct Batcher {
     model: Seq2Seq,
     params: ParamStore,
     mb: MicroBatcher,
-    rx: Receiver<Job>,
+    rx: Receiver<Prefilled>,
+    /// The parameter set the prefill thread encodes with.
+    snapshot: Arc<SnapshotCell>,
     /// Result channel + cancel flag per admitted job id.
     pending: Vec<PendingJob>,
     next_id: u64,
@@ -109,7 +128,7 @@ impl Batcher {
     pub fn new(
         mut model: Seq2Seq,
         mut params: ParamStore,
-        rx: Receiver<Job>,
+        rx: Receiver<Prefilled>,
         max_batch: usize,
         checkpoint: Option<PathBuf>,
         poll: Duration,
@@ -126,11 +145,17 @@ impl Batcher {
         let mb = MicroBatcher::new(&model, &mut params);
         let seen_stat = checkpoint.as_deref().and_then(stat);
         SERVE_OBS.model_generation.set(0.0);
+        let snapshot = Arc::new(Mutex::new(Arc::new(Snapshot {
+            model: model.clone(),
+            params: params.clone(),
+            generation: shared.generation.load(Ordering::Relaxed),
+        })));
         Self {
             model,
             params,
             mb,
             rx,
+            snapshot,
             pending: Vec::new(),
             next_id: 0,
             max_batch,
@@ -143,8 +168,13 @@ impl Batcher {
         }
     }
 
-    /// Runs until every producer handle is dropped and all admitted work
-    /// has drained.
+    /// The cell the prefill thread reads its parameter set from.
+    pub fn snapshot(&self) -> Arc<SnapshotCell> {
+        Arc::clone(&self.snapshot)
+    }
+
+    /// Runs until the prefill thread hangs up and all admitted work has
+    /// drained.
     pub fn run(mut self) {
         loop {
             let disconnected = self.admit_available();
@@ -199,38 +229,36 @@ impl Batcher {
         false
     }
 
-    fn admit(&mut self, job: Job) {
-        let depth = self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-        SERVE_OBS.queue_depth.set(depth as f64);
+    /// Appends a pre-encoded job. A job encoded under an older parameter
+    /// generation (it was prefilled before a hot-reload) is re-encoded
+    /// here, so every job decodes under the parameters that encoded it.
+    fn admit(&mut self, ready: Prefilled) {
+        self.shared.leave_queue();
+        let Prefilled {
+            job,
+            generation,
+            mut layers,
+            mut cross_row,
+            encoded_ns,
+        } = ready;
         if job.cancel.load(Ordering::Relaxed) {
-            // The client gave up while the job sat in the queue: don't
-            // pay for the encode at all.
+            // The client gave up while the job waited: don't decode for
+            // nobody.
             SERVE_OBS.cancelled.inc();
             return;
         }
+        if generation != self.shared.generation.load(Ordering::Relaxed) {
+            SERVE_OBS.prefill_stale.inc();
+            (layers, cross_row) = self.model.begin_request(&mut self.params, job.spec.src());
+        }
         let id = self.next_id;
         self.next_id += 1;
-        // queue_wait ends here: the job left the bounded queue and owns a
-        // KV slot. Trace-dark jobs skip all stage accounting (no clock).
-        let trace = job.trace.map(|meta| {
-            let now = rpt_obs::now_ns();
-            rpt_obs::emit_span(
-                meta.trace_id,
-                meta.root,
-                "serve.queue_wait",
-                meta.enqueue_ns,
-                now,
-            );
-            meta.stages
-                .queue_wait
-                .store(now.saturating_sub(meta.enqueue_ns), Ordering::Relaxed);
-            PendingTrace {
-                meta,
-                admit_ns: now,
-                first_step_ns: None,
-            }
+        let trace = job.trace.map(|meta| PendingTrace {
+            meta,
+            encoded_ns,
+            first_step_ns: None,
         });
-        self.mb.admit(&self.model, &mut self.params, id, job.spec);
+        self.mb.admit_encoded(id, job.spec, layers, cross_row);
         self.pending.push(PendingJob {
             id,
             resp: job.resp,
@@ -257,13 +285,13 @@ impl Batcher {
                             t.meta.trace_id,
                             t.meta.root,
                             "serve.batch_wait",
-                            t.admit_ns,
+                            t.encoded_ns,
                             now,
                         );
                         t.meta
                             .stages
                             .batch_wait
-                            .store(now.saturating_sub(t.admit_ns), Ordering::Relaxed);
+                            .store(now.saturating_sub(t.encoded_ns), Ordering::Relaxed);
                         t.first_step_ns = Some(now);
                     }
                 }
@@ -276,7 +304,7 @@ impl Batcher {
                 let job = self.pending.swap_remove(at);
                 if let Some(t) = &job.trace {
                     let now = rpt_obs::now_ns();
-                    let start = t.first_step_ns.unwrap_or(t.admit_ns);
+                    let start = t.first_step_ns.unwrap_or(t.encoded_ns);
                     rpt_obs::emit_span(t.meta.trace_id, t.meta.root, "serve.decode", start, now);
                     t.meta
                         .stages
@@ -318,7 +346,13 @@ impl Batcher {
                     self.model.set_quant(Some(Arc::new(self.quant_set_for(path))));
                 }
                 self.mb = MicroBatcher::new(&self.model, &mut self.params);
-                let generation = self.shared.generation.fetch_add(1, Ordering::Relaxed) + 1;
+                let generation = self.shared.generation.load(Ordering::Relaxed) + 1;
+                *latest(&self.snapshot) = Arc::new(Snapshot {
+                    model: self.model.clone(),
+                    params: self.params.clone(),
+                    generation,
+                });
+                self.shared.generation.store(generation, Ordering::Relaxed);
                 SERVE_OBS.model_generation.set(generation as f64);
                 SERVE_OBS.reloads.inc();
                 rpt_obs::info!(target: "serve", "hot-reloaded checkpoint generation={generation}");

@@ -8,6 +8,13 @@
 //! per token — without changing a single response byte relative to
 //! single-request decoding.
 //!
+//! Decode requests flow through a three-stage pipeline: connection
+//! threads push jobs onto a bounded queue; one `rpt-serve-prefill`
+//! thread ([`prefill`]) runs each job's encoder pass; one
+//! `rpt-serve-batcher` thread appends the pre-encoded jobs to its fused
+//! KV caches and steps the decoder. Encoding the next request therefore
+//! overlaps decoding the live batch.
+//!
 //! Endpoints:
 //!
 //! | route | body | result |
@@ -22,7 +29,7 @@
 //!
 //! With tracing enabled (`rpt_obs::set_trace_enabled`, `RPT_TRACE=1` via
 //! the CLI), every request gets a `trace_id` and stage spans — `parse`,
-//! `queue_wait`, `batch_wait`, `decode`, `serialize` under a
+//! `queue_wait`, `prefill`, `batch_wait`, `decode`, `serialize` under a
 //! `serve.request` root — recorded into the rpt-obs ring; a request
 //! carrying the header `x-rpt-trace: 1` gets an `X-Rpt-Trace` response
 //! header summarizing those stages. Tracing never changes a response
@@ -35,7 +42,8 @@
 //! batch formation. A client that disconnects mid-decode has its jobs
 //! cancelled and their KV slots reclaimed before the next fused step.
 //!
-//! Decode requests past the bounded queue are rejected with
+//! Decode requests arriving while `queue_cap` jobs already wait for
+//! admission (queued, prefilling, or prefilled) are rejected with
 //! `503` + `Retry-After: 1`. The checkpoint named in
 //! [`ServeConfig::checkpoint`] is hot-reloaded when its file changes
 //! (atomic-rename writes only; torn files are rejected harmlessly).
@@ -47,6 +55,7 @@ pub mod api;
 mod batcher;
 pub mod http;
 mod obs;
+mod prefill;
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -63,6 +72,7 @@ use rpt_tensor::ParamStore;
 use batcher::{Batcher, BatcherShared, Job, JobTrace, StageNs};
 use http::{Parsed, Request, RequestParser, Response};
 use obs::SERVE_OBS;
+use prefill::Prefilled;
 
 /// Server settings. `Default` gives an ephemeral localhost port and the
 /// documented env-var fallbacks; builders override per field.
@@ -73,7 +83,7 @@ pub struct ServeConfig {
     /// Most requests coalesced into one fused decode batch
     /// (`RPT_SERVE_MAX_BATCH`, default 8).
     pub max_batch: usize,
-    /// Bounded queue capacity; requests beyond it get 503
+    /// Most decode jobs waiting for admission; requests beyond it get 503
     /// (`RPT_SERVE_QUEUE_CAP`, default `4 * max_batch`).
     pub queue_cap: usize,
     /// Checkpoint file to watch for hot-reload (never loaded at startup;
@@ -119,7 +129,7 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 fn env_flag(name: &str) -> bool {
-    std::env::var(name).map_or(false, |v| v == "1" || v.eq_ignore_ascii_case("true"))
+    std::env::var(name).is_ok_and(|v| v == "1" || v.eq_ignore_ascii_case("true"))
 }
 
 struct Shared {
@@ -135,18 +145,23 @@ pub struct Server {
     addr: SocketAddr,
     shared: Option<Arc<Shared>>,
     acceptor: Option<JoinHandle<()>>,
+    prefill: Option<JoinHandle<()>>,
     batcher: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
-    /// Binds, spawns the acceptor + batcher, and returns immediately.
+    /// Binds, spawns the acceptor, prefill and batcher threads, and
+    /// returns immediately.
     /// The served parameters are exactly `params` until a hot-reload.
     pub fn start(model: Seq2Seq, params: ParamStore, cfg: ServeConfig) -> std::io::Result<Server> {
         rpt_obs::set_metrics_enabled(true);
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let (tx, rx) = sync_channel::<Job>(cfg.queue_cap);
+        // Prefilled jobs: enough to refill a whole batch the moment its
+        // rows finish; the waiting total stays bounded by `queue_cap`.
+        let (ready_tx, ready_rx) = sync_channel::<Prefilled>(cfg.max_batch);
         let state = Arc::new(BatcherShared {
             queue_depth: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
@@ -156,13 +171,20 @@ impl Server {
         let batcher = Batcher::new(
             model,
             params,
-            rx,
+            ready_rx,
             cfg.max_batch,
             cfg.checkpoint.clone(),
             Duration::from_millis(cfg.reload_poll_ms.max(1)),
             cfg.quant,
             Arc::clone(&state),
         );
+        let prefill = {
+            let snapshot = batcher.snapshot();
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("rpt-serve-prefill".into())
+                .spawn(move || prefill::run(rx, ready_tx, snapshot, state))?
+        };
         let batcher = std::thread::Builder::new()
             .name("rpt-serve-batcher".into())
             .spawn(move || batcher.run())?;
@@ -204,6 +226,7 @@ impl Server {
             addr,
             shared: Some(shared),
             acceptor: Some(acceptor),
+            prefill: Some(prefill),
             batcher: Some(batcher),
             conns,
         })
@@ -232,11 +255,14 @@ impl Server {
             let _ = h.join();
         }
         // All producers are gone once the handlers are joined and our own
-        // Shared (holding the SyncSender) is dropped; the batcher then
-        // sees a disconnected queue, finishes its drain, and exits.
-        let batcher = self.batcher.take();
+        // Shared (holding the SyncSender) is dropped; the prefill thread
+        // then sees a disconnected queue and exits, and the batcher, seeing
+        // the prefill side hang up, finishes its drain and exits.
         drop(self.shared.take());
-        if let Some(h) = batcher {
+        for h in [self.prefill.take(), self.batcher.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = h.join();
         }
         // Persist the final serve.* metrics: a served process previously
@@ -503,12 +529,13 @@ fn render_decode(
             resp.headers.push((
                 "x-rpt-trace",
                 format!(
-                    "id={:016x}; queue_wait_ms={:.3}; batch_wait_ms={:.3}; decode_ms={:.3}; serialize_ms={:.3}",
+                    "id={:016x}; queue_wait_ms={:.3}; batch_wait_ms={:.3}; decode_ms={:.3}; serialize_ms={:.3}; prefill_ms={:.3}",
                     trace.trace_id,
                     ms(stages.queue_wait.load(Ordering::Relaxed)),
                     ms(stages.batch_wait.load(Ordering::Relaxed)),
                     ms(stages.decode.load(Ordering::Relaxed)),
                     ms(s1.saturating_sub(s0)),
+                    ms(stages.prefill.load(Ordering::Relaxed)),
                 ),
             ));
         }
@@ -626,15 +653,11 @@ fn submit(spec: Result<rpt_nn::JobSpec, api::ApiError>, shared: &Shared, trace: 
     };
     let (resp_tx, resp_rx) = sync_channel(1);
     let cancel = Arc::new(AtomicBool::new(false));
-    // Stage accounting rides the job so the batcher thread can attribute
-    // queue_wait/batch_wait/decode to this request's trace. None when
-    // dark: the batcher then does zero trace work for the job.
+    // Stage accounting rides the job so the prefill and batcher threads
+    // can attribute queue_wait/prefill/batch_wait/decode to this request's
+    // trace. None when dark: they then do zero trace work for the job.
     let (job_trace, stages) = if rpt_obs::trace_enabled() {
-        let stages = Arc::new(StageNs {
-            queue_wait: AtomicU64::new(0),
-            batch_wait: AtomicU64::new(0),
-            decode: AtomicU64::new(0),
-        });
+        let stages = Arc::new(StageNs::default());
         (
             Some(JobTrace {
                 trace_id: trace.trace_id,
@@ -647,9 +670,15 @@ fn submit(spec: Result<rpt_nn::JobSpec, api::ApiError>, shared: &Shared, trace: 
     } else {
         (None, None)
     };
-    // Count the job before sending it so the batcher's decrement (which
-    // happens-after the send) can never observe an un-incremented depth.
+    // Count the job before sending it so the admission-side decrement
+    // (which happens-after the send) can never observe an un-incremented
+    // depth. The count covers every job not yet admitted — queued,
+    // prefilling, or prefilled — so `queue_cap` bounds all of them.
     let depth = shared.state.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    if depth > shared.cfg.queue_cap {
+        shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        return queue_full();
+    }
     SERVE_OBS.queue_depth.set(depth as f64);
     match shared.tx.try_send(Job {
         spec,
@@ -664,10 +693,7 @@ fn submit(spec: Result<rpt_nn::JobSpec, api::ApiError>, shared: &Shared, trace: 
         },
         Err(TrySendError::Full(_)) => {
             shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            SERVE_OBS.rejected.inc();
-            let mut resp = Response::error(503, "queue_full", "decode queue is full; retry");
-            resp.headers.push(("retry-after", "1".to_string()));
-            Routed::Ready(resp)
+            queue_full()
         }
         Err(TrySendError::Disconnected(_)) => {
             shared.state.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -678,4 +704,13 @@ fn submit(spec: Result<rpt_nn::JobSpec, api::ApiError>, shared: &Shared, trace: 
             ))
         }
     }
+}
+
+/// The 503 answer to a decode request that finds `queue_cap` jobs
+/// already waiting.
+fn queue_full() -> Routed {
+    SERVE_OBS.rejected.inc();
+    let mut resp = Response::error(503, "queue_full", "decode queue is full; retry");
+    resp.headers.push(("retry-after", "1".to_string()));
+    Routed::Ready(resp)
 }

@@ -13,7 +13,8 @@ pub(crate) struct ServeObs {
     pub errors: rpt_obs::Counter,
     /// End-to-end request latency (parse → response written), ms.
     pub request_ms: rpt_obs::Histogram,
-    /// Decode jobs waiting in the bounded queue.
+    /// Decode jobs submitted but not yet admitted to the batcher
+    /// (queued, prefilling, or prefilled).
     pub queue_depth: rpt_obs::Gauge,
     /// KV-cache slots currently owned by admitted, unfinished jobs.
     pub kv_slots_in_use: rpt_obs::Gauge,
@@ -34,6 +35,9 @@ pub(crate) struct ServeObs {
     pub cancelled: rpt_obs::Counter,
     /// 1 when the batcher serves int8 quantized weights, else 0.
     pub quant: rpt_obs::Gauge,
+    /// Prefilled jobs re-encoded at admission because a hot-reload
+    /// swapped the parameters after their encode.
+    pub prefill_stale: rpt_obs::Counter,
 }
 
 pub(crate) static SERVE_OBS: LazyLock<ServeObs> = LazyLock::new(|| ServeObs {
@@ -51,4 +55,5 @@ pub(crate) static SERVE_OBS: LazyLock<ServeObs> = LazyLock::new(|| ServeObs {
     model_generation: rpt_obs::gauge("serve.model_generation"),
     cancelled: rpt_obs::counter("serve.cancelled"),
     quant: rpt_obs::gauge("serve.quant"),
+    prefill_stale: rpt_obs::counter("serve.prefill_stale"),
 });

@@ -225,6 +225,8 @@ mod tests {
     #[test]
     fn closures_can_be_stored_and_called_via_raw_pointer() {
         let arena = Arena::new();
+        // A heap-owning capture, so the arena must run its destructor.
+        #[allow(clippy::useless_vec)]
         let captured = vec![1.0f32, 2.0, 3.0];
         let p: *mut _ = arena.alloc(move |x: f32| captured.iter().sum::<f32>() * x);
         // SAFETY: arena alive, pointer stable.

@@ -712,6 +712,7 @@ pub fn matmul_chunk_count(rows: usize, k: usize, n: usize, width: usize) -> usiz
 /// 2-d product. Thread partitioning only decides *which* thread runs a
 /// row — never the arithmetic order inside it — so results are
 /// bit-identical for every thread count.
+#[allow(clippy::too_many_arguments)]
 fn matmul_batched(
     pool: &rpt_par::ThreadPool,
     a: &[f32],

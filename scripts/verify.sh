@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the parallel-determinism gate.
 #
-# 1. Offline release build + full workspace test suite (the tier-1 bar).
+# 1. Offline release build + full workspace test suite (the tier-1 bar),
+#    then clippy over every workspace target with warnings denied.
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that (a) the data-parallel trainer and parallel matmul kernels and
 #    (b) the KV-cached incremental decoder are bit-identical to their
@@ -51,6 +52,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --test decode_equivalence

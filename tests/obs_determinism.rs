@@ -56,7 +56,7 @@ fn run_once(tag: &str) -> (Vec<u8>, Vec<u32>) {
     let mut rng = SmallRng::seed_from_u64(6);
     let (_u, mut benches) = standard_benchmarks(16, &mut rng);
     let b = benches.remove(0);
-    let tables = vec![b.table_a, b.table_b];
+    let tables = [b.table_a, b.table_b];
     let vocab = build_vocab(&tables.iter().collect::<Vec<_>>(), &[], 1, 4000);
 
     let pool = ThreadPool::new(2);
@@ -174,6 +174,7 @@ fn stage_sum_ns(spans: &[rpt_json::Json]) -> Option<u64> {
     };
     Some(
         dur_of("serve.queue_wait")?
+            + dur_of("serve.prefill")?
             + dur_of("serve.batch_wait")?
             + dur_of("serve.decode")?
             + dur_of("serve.serialize")?,
@@ -254,7 +255,7 @@ fn traced_server_is_byte_identical_to_dark_server() {
     }
     assert!(
         verified,
-        "no complete request trace with all four stage spans appeared in /debug/tracez"
+        "no complete request trace with all five stage spans appeared in /debug/tracez"
     );
     server.shutdown();
 
