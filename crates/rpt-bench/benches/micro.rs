@@ -945,7 +945,45 @@ fn bench_quant() {
         rpt_json::Json::from(MAX_STEPS as f64 / q_med.as_secs_f64()),
     );
     root.insert("speedup".into(), rpt_json::Json::from(speedup));
+    for (key, ns) in bench_quant_kernels() {
+        root.insert(key, rpt_json::Json::from(ns));
+    }
     rpt_bench::emit_artifact("bench_quant", &rpt_json::Json::Object(root));
+}
+
+/// The int8 kernel at the fused decode step's shapes: about 7 rows per
+/// step (the `match_bulk_int8` serve workload) through the default d=64
+/// model's linears — attention projections `[7,64]×[64,64]` and the
+/// feed-forward pair — and the tied logit projection over that
+/// workload's 565-token vocabulary. Each shape runs the forced-scalar
+/// path and the dispatched one (AVX2 unless `RPT_SIMD=0`), so the
+/// artifact carries an in-run baseline; returns
+/// `(qmatmul_<m>x<k>x<n>[_scalar]_ns, ns per call)` pairs.
+fn bench_quant_kernels() -> Vec<(String, u64)> {
+    const ROWS: usize = 7;
+    const SERVE_VOCAB: usize = 565;
+    let cfg = TransformerConfig::default();
+    let (d, ff) = (cfg.d_model, cfg.d_ff);
+    let mut rng = SmallRng::seed_from_u64(11);
+    let mut out = Vec::new();
+    for (k, n) in [(d, d), (d, ff), (ff, d), (d, SERVE_VOCAB)] {
+        let w = init::normal(&[k, n], 0.2, &mut rng);
+        let qm = rpt_tensor::QuantMatrix::quantize_transposed(w.data(), k, n);
+        let x = init::normal(&[ROWS, k], 1.0, &mut rng);
+        let shape = format!("{ROWS}x{k}x{n}");
+        let scalar = bench_function(&format!("quant/qmatmul_{shape}_scalar"), || {
+            std::hint::black_box(qm.matmul_f32_with(x.data(), ROWS, false));
+        });
+        let dispatched = bench_function(&format!("quant/qmatmul_{shape}"), || {
+            std::hint::black_box(qm.matmul_f32(x.data(), ROWS));
+        });
+        out.push((
+            format!("qmatmul_{shape}_scalar_ns"),
+            scalar.as_nanos() as u64,
+        ));
+        out.push((format!("qmatmul_{shape}_ns"), dispatched.as_nanos() as u64));
+    }
+    out
 }
 
 /// Streaming-corpus pretraining throughput: tokens/sec training over a

@@ -104,29 +104,37 @@ pub fn build_quant_set(params: &ParamStore) -> QuantSet {
 
 /// Rebuilds a [`QuantSet`] from named tensors (a loaded `quant-v1`
 /// checkpoint section), resolving each name against `params`. Unknown
-/// names are an error — a quant section must describe the model it rides
-/// with.
+/// names and shapes that disagree with the parameter are errors — a quant
+/// section must describe the model it rides with, and a mis-shaped tensor
+/// would otherwise panic inside the first quantized decode.
 pub fn quant_set_from_named(
     params: &ParamStore,
     entries: Vec<(String, QuantMatrix)>,
 ) -> Result<QuantSet, String> {
     let mut qs = QuantSet::default();
     for (name, qm) in entries {
-        if name == TIED_WEIGHT_NAME {
+        let id = params
+            .find(&name)
+            .ok_or_else(|| format!("quant tensor {name:?} has no matching parameter"))?;
+        let shape = params.value(id).shape();
+        // The tied table `[vocab, d]` is stored row for row; a dense
+        // weight `[d_in, d_out]` transposed.
+        let tied = name == TIED_WEIGHT_NAME;
+        let expect = if tied {
+            [qm.n_out(), qm.k()]
+        } else {
+            [qm.k(), qm.n_out()]
+        };
+        if shape != expect {
+            return Err(format!(
+                "quant tensor {name:?} shape [{}, {}] does not match parameter {shape:?}",
+                qm.n_out(),
+                qm.k(),
+            ));
+        }
+        if tied {
             qs.set_tied(qm);
         } else {
-            let id = params
-                .find(&name)
-                .ok_or_else(|| format!("quant tensor {name:?} has no matching parameter"))?;
-            let t = params.value(id);
-            if t.shape().len() != 2 || qm.n_out() != t.shape()[1] || qm.k() != t.shape()[0] {
-                return Err(format!(
-                    "quant tensor {name:?} shape [{}, {}] does not match parameter {:?}",
-                    qm.n_out(),
-                    qm.k(),
-                    t.shape()
-                ));
-            }
             qs.insert(name, id, qm);
         }
     }
@@ -183,6 +191,22 @@ mod tests {
                 let id = params.find(name).unwrap();
                 assert_eq!(rebuilt.linear(id).unwrap().weights(), qm.weights());
             }
+        }
+    }
+
+    #[test]
+    fn mis_shaped_tied_table_is_rejected() {
+        let (model, params) = tiny_model();
+        let d = model.config().d_model;
+        // one row short of the vocabulary, and one column short of d
+        for (n_out, k) in [
+            (model.config().vocab_size - 1, d),
+            (model.config().vocab_size, d - 1),
+        ] {
+            let qm = QuantMatrix::quantize_rows(&vec![0.5; n_out * k], n_out, k);
+            let err = quant_set_from_named(&params, vec![(TIED_WEIGHT_NAME.into(), qm)])
+                .expect_err("mis-shaped tied table must be rejected");
+            assert!(err.contains("does not match"), "{err}");
         }
     }
 

@@ -12,20 +12,74 @@
 //! out[i,j] = (acc − zero_a · row_sum_w[j]) as f32 · (scale_a · scale_w[j])
 //! ```
 //!
-//! Unlike the f32 kernels in [`crate::simd`], bit-identity between the
-//! scalar and AVX2 paths needs no care about operation order: integer
-//! addition is associative and every product fits comfortably in `i32`
-//! (`|q_a·q_w| ≤ 255·127 = 32385`, so `k` up to 2¹⁶ rows cannot overflow
-//! a 32-bit accumulator). Only the integer dot product is vectorized; the
-//! activation quantization and the final f32 rescale are shared scalar
-//! code, so `RPT_SIMD=0` and `RPT_SIMD=1` produce byte-identical logits
-//! by construction (locked down by `tests/quant_equivalence.rs`).
+//! Both halves of [`QuantMatrix::matmul_f32`] have a scalar and an AVX2
+//! twin, and the twins are byte-identical by construction:
 //!
-//! The AVX2 microkernel follows the `_mm256_maddubs_epi16` idiom but uses
+//! - **The integer product.** Integer addition is associative and every
+//!   product fits comfortably in `i32` (`|q_a·q_w| ≤ 255·127 = 32385`, so
+//!   `k` up to 2¹⁶ cannot overflow a 32-bit accumulator), so lane grouping
+//!   and reduction order cannot change the sum. The zero-point correction
+//!   is exact as well, and the rescale performs the scalar IEEE operations
+//!   (`i32 → f32`, then one multiply by `scale_a · scale_w[j]`) lane-wise.
+//! - **Activation quantization.** The vector quantizer repeats each
+//!   scalar IEEE step. Row min/max are exact; only the sign of a zero
+//!   bound may differ, and no output depends on it. `x / scale` is a
+//!   correctly rounded division in both forms. `round()` (half away from
+//!   zero) is rebuilt from `trunc`: `x − trunc(x)` is exact, and a
+//!   magnitude `≥ 0.5` bumps the truncated value by `±1`. The `+ zero`,
+//!   the clamp (ordered so a NaN quotient becomes 0, as `f32 as u8` makes
+//!   it) and the final conversion of an integer-valued float are exact. A
+//!   row holding any NaN falls back to the scalar quantizer, so NaN
+//!   handling is the scalar code's by definition.
+//!
+//! So `RPT_SIMD=0` and `RPT_SIMD=1` produce byte-identical logits
+//! (locked down by `tests/quant_equivalence.rs`).
+//!
+//! The AVX2 kernel follows the `_mm256_maddubs_epi16` idiom but uses
 //! explicit u8→i16 / i8→i16 widening plus `_mm256_madd_epi16`:
 //! `maddubs` saturates its i16 pair-sums (255·127·2 = 64770 > i16::MAX),
 //! which would break exactness; the widened form pairs products of at
-//! most 32385 into i32 lanes and stays exact for every input.
+//! most 32385 into i32 lanes and stays exact for every input. It is
+//! register-blocked over four output channels and two activation rows:
+//! each widened activation chunk feeds four weight rows, each widened
+//! weight chunk two activation rows, and one `hadd` tree per row reduces
+//! its four accumulators at once.
+
+use std::cell::Cell;
+use std::sync::LazyLock;
+
+/// Kernel metrics (DESIGN.md §Observability); inert unless metrics are on.
+struct QMatmulObs {
+    calls: rpt_obs::Counter,
+    madds: rpt_obs::Counter,
+}
+
+static QMATMUL_OBS: LazyLock<QMatmulObs> = LazyLock::new(|| QMatmulObs {
+    calls: rpt_obs::counter("tensor.qmatmul_calls"),
+    madds: rpt_obs::counter("tensor.qmatmul_madds"),
+});
+
+/// Activation rows quantized per kernel pass. The fused decode step's
+/// few rows fit one pass; a long encoder batch takes several, which caps
+/// the per-thread scratch at `ROW_TILE · k` bytes.
+const ROW_TILE: usize = 16;
+
+/// Activation scratch for one kernel pass of [`QuantMatrix::matmul_f32`].
+#[derive(Default)]
+struct ActScratch {
+    /// Quantized activation rows, `k` bytes each.
+    q: Vec<u8>,
+    /// Each row's `(scale, zero)`.
+    rows: Vec<(f32, i32)>,
+}
+
+thread_local! {
+    /// Per-thread scratch, reused across calls so the hot path does not
+    /// allocate.
+    static ACT_SCRATCH: Cell<ActScratch> = const {
+        Cell::new(ActScratch { q: Vec::new(), rows: Vec::new() })
+    };
+}
 
 /// Hard ceiling on the inner dimension `k`: `255·127·2^16 < 2^31`, so any
 /// `k ≤ 2^16` is provably overflow-free in a 32-bit accumulator.
@@ -150,31 +204,146 @@ impl QuantMatrix {
     }
 
     /// [`Self::matmul_f32`] with the kernel choice forced, for the
-    /// bitwise equivalence suite. `use_simd: true` silently falls back to
-    /// scalar when AVX2 is unavailable (prefer
+    /// bitwise equivalence suite: `use_simd` selects both the activation
+    /// quantizer and the integer kernel. `use_simd: true` silently falls
+    /// back to scalar when AVX2 is unavailable (prefer
     /// [`crate::simd::simd_available`] to detect that case).
     pub fn matmul_f32_with(&self, x: &[f32], m: usize, use_simd: bool) -> Vec<f32> {
-        assert_eq!(x.len(), m * self.k, "quant matmul activation size mismatch");
-        let mut out = vec![0.0f32; m * self.n_out];
-        let mut qrow = vec![0u8; self.k];
-        for i in 0..m {
-            let row = &x[i * self.k..(i + 1) * self.k];
-            let (a_scale, a_zero) = quantize_activation_row(row, &mut qrow);
-            let dst = &mut out[i * self.n_out..(i + 1) * self.n_out];
-            for (j, d) in dst.iter_mut().enumerate() {
-                let w = &self.data[j * self.k..(j + 1) * self.k];
-                let acc = qdot(&qrow, w, use_simd);
-                let corrected = acc - a_zero * self.row_sums[j];
-                *d = corrected as f32 * (a_scale * self.scales[j]);
+        let k = self.k;
+        assert_eq!(x.len(), m * k, "quant matmul activation size mismatch");
+        QMATMUL_OBS.calls.inc();
+        QMATMUL_OBS.madds.add((m * k * self.n_out) as u64);
+        let use_simd = use_simd && crate::simd::simd_available();
+        let n = self.n_out;
+        let mut out = vec![0.0f32; m * n];
+        let mut scratch = ACT_SCRATCH.take();
+        for r0 in (0..m).step_by(ROW_TILE) {
+            let r1 = (r0 + ROW_TILE).min(m);
+            let ActScratch { q, rows } = &mut scratch;
+            q.resize((r1 - r0) * k, 0);
+            rows.clear();
+            for i in r0..r1 {
+                let qi = &mut q[(i - r0) * k..(i - r0 + 1) * k];
+                let xi = &x[i * k..(i + 1) * k];
+                rows.push(quantize_activation_row_with(xi, qi, use_simd));
+            }
+            let dst = &mut out[r0 * n..r1 * n];
+            #[cfg(target_arch = "x86_64")]
+            if use_simd {
+                // SAFETY: AVX2 presence checked via simd_available().
+                unsafe { self.rows_avx2(q, rows, dst) };
+                continue;
+            }
+            self.rows_scalar(q, rows, dst);
+        }
+        ACT_SCRATCH.set(scratch);
+        out
+    }
+
+    /// Output `j` of one activation row from its exact integer dot
+    /// product: the zero-point correction, then the one f32 rounding step
+    /// both kernels share.
+    #[inline]
+    fn rescale(&self, acc: i32, (a_scale, a_zero): (f32, i32), j: usize) -> f32 {
+        let corrected = acc - a_zero * self.row_sums[j];
+        corrected as f32 * (a_scale * self.scales[j])
+    }
+
+    /// Scalar kernel: one [`qdot_scalar`] per output.
+    fn rows_scalar(&self, qa: &[u8], rows: &[(f32, i32)], out: &mut [f32]) {
+        let (k, n) = (self.k, self.n_out);
+        for (i, &row) in rows.iter().enumerate() {
+            let a = &qa[i * k..(i + 1) * k];
+            for (j, d) in out[i * n..(i + 1) * n].iter_mut().enumerate() {
+                *d = self.rescale(qdot_scalar(a, &self.data[j * k..(j + 1) * k]), row, j);
             }
         }
-        out
+    }
+
+    /// AVX2 kernel, register-blocked over four output channels and two
+    /// activation rows: each widened weight chunk feeds two rows and each
+    /// widened activation chunk four outputs. The outer loop walks output
+    /// blocks so the block's weight rows stay hot while every activation
+    /// row streams past them.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. `qa` holds `rows.len()` rows of `k`
+    /// bytes and `out` `rows.len()` rows of `n_out` (slicing checks both).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn rows_avx2(&self, qa: &[u8], rows: &[(f32, i32)], out: &mut [f32]) {
+        let (k, n, m) = (self.k, self.n_out, rows.len());
+        let act = |i: usize| &qa[i * k..(i + 1) * k];
+        for j in (0..n).step_by(4) {
+            let live = (n - j).min(4);
+            // A partial last block repeats its last row; the extra lanes
+            // are computed and dropped.
+            let w: [&[i8]; 4] = std::array::from_fn(|r| {
+                let jr = j + r.min(live - 1);
+                &self.data[jr * k..(jr + 1) * k]
+            });
+            let cols = |i: usize| i * n + j..i * n + j + live;
+            // SAFETY (all calls below): AVX2 per this function's contract;
+            // every `act(i)` and weight row is `k` long, and each `dst`
+            // spans outputs `j..j + live` with `j + live <= n`.
+            for i in (0..m / 2 * 2).step_by(2) {
+                let [acc0, acc1] = dot_block_avx2([act(i), act(i + 1)], w);
+                self.store_block(acc0, rows[i], &mut out[cols(i)], j);
+                self.store_block(acc1, rows[i + 1], &mut out[cols(i + 1)], j);
+            }
+            if m % 2 == 1 {
+                let [acc] = dot_block_avx2([act(m - 1)], w);
+                self.store_block(acc, rows[m - 1], &mut out[cols(m - 1)], j);
+            }
+        }
+    }
+
+    /// Rescales one row's block of up to four exact sums into `dst`
+    /// (outputs `j..j + dst.len()`): a full block in one 4-lane vector,
+    /// a partial one lane by lane through [`Self::rescale`].
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and `j + dst.len() <= n_out` (the full
+    /// block reads `row_sums` and `scales` at `j..j + 4` unchecked).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn store_block(
+        &self,
+        acc: std::arch::x86_64::__m128i,
+        (a_scale, a_zero): (f32, i32),
+        dst: &mut [f32],
+        j: usize,
+    ) {
+        use std::arch::x86_64::*;
+        if dst.len() == 4 {
+            // SAFETY: the caller guarantees `j + 4 <= n_out`, the length
+            // of `row_sums`, `scales` and (per row) `dst`'s span.
+            let row_sums = _mm_loadu_si128(self.row_sums.as_ptr().add(j) as *const __m128i);
+            let corrected = _mm_sub_epi32(acc, _mm_mullo_epi32(_mm_set1_epi32(a_zero), row_sums));
+            let scale = _mm_mul_ps(
+                _mm_set1_ps(a_scale),
+                _mm_loadu_ps(self.scales.as_ptr().add(j)),
+            );
+            _mm_storeu_ps(
+                dst.as_mut_ptr(),
+                _mm_mul_ps(_mm_cvtepi32_ps(corrected), scale),
+            );
+        } else {
+            let mut lanes = [0i32; 4];
+            // SAFETY: `lanes` is 16 bytes, one unaligned i128 store.
+            _mm_storeu_si128(lanes.as_mut_ptr() as *mut __m128i, acc);
+            for (r, d) in dst.iter_mut().enumerate() {
+                *d = self.rescale(lanes[r], (a_scale, a_zero), j + r);
+            }
+        }
     }
 }
 
 /// Quantizes one f32 activation row to asymmetric u8 into `q`, returning
-/// `(scale, zero)` such that `x ≈ (q − zero) · scale`. Pure scalar and
-/// shared by both kernel paths, so it never forks the numerics.
+/// `(scale, zero)` such that `x ≈ (q − zero) · scale`. The scalar
+/// reference: [`quantize_activation_row_force`] is its AVX2 twin, and the
+/// two agree bit for bit on every input.
 pub fn quantize_activation_row(row: &[f32], q: &mut [u8]) -> (f32, i32) {
     debug_assert_eq!(row.len(), q.len());
     let mut lo = f32::INFINITY;
@@ -183,33 +352,149 @@ pub fn quantize_activation_row(row: &[f32], q: &mut [u8]) -> (f32, i32) {
         lo = lo.min(x);
         hi = hi.max(x);
     }
-    if !(lo.is_finite() && hi.is_finite()) {
-        // Empty row (or non-finite garbage a caller should never produce):
-        // encode as all-zero with identity scale.
+    let Some((scale, zero)) = activation_params(lo, hi) else {
         q.iter_mut().for_each(|o| *o = 0);
         return (1.0, 0);
-    }
-    // The range must straddle zero so `zero` lands in [0, 255].
-    lo = lo.min(0.0);
-    hi = hi.max(0.0);
-    let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
-    let zero = (-lo / scale).round().clamp(0.0, 255.0) as i32;
+    };
     for (o, &x) in q.iter_mut().zip(row) {
-        *o = ((x / scale).round() + zero as f32).clamp(0.0, 255.0) as u8;
+        *o = quantize_one(x, scale, zero);
     }
     (scale, zero)
 }
 
-/// The integer dot product `Σ a[k]·w[k]`, dispatched by `use_simd`.
-#[inline]
-fn qdot(a: &[u8], w: &[i8], use_simd: bool) -> i32 {
+/// Forced-AVX2 activation quantizer; `None` when AVX2 is unavailable.
+///
+/// # Panics
+/// If `row` and `q` differ in length (on an AVX2 host).
+pub fn quantize_activation_row_force(row: &[f32], q: &mut [u8]) -> Option<(f32, i32)> {
     #[cfg(target_arch = "x86_64")]
-    if use_simd && crate::simd::simd_available() && a.len() >= 16 {
-        // SAFETY: AVX2 presence checked via simd_available().
-        return unsafe { qdot_avx2(a, w) };
+    if crate::simd::simd_available() {
+        return Some(quantize_activation_row_with(row, q, true));
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, q);
+    None
+}
+
+/// The activation quantizer dispatched by `use_simd` (scalar when AVX2
+/// is unavailable).
+#[inline]
+fn quantize_activation_row_with(row: &[f32], q: &mut [u8], use_simd: bool) -> (f32, i32) {
+    #[cfg(target_arch = "x86_64")]
+    if use_simd && crate::simd::simd_available() {
+        // SAFETY: AVX2 presence checked just above.
+        if let Some(params) = unsafe { quantize_activation_row_avx2(row, q) } {
+            return params;
+        }
     }
     let _ = use_simd;
-    qdot_scalar(a, w)
+    quantize_activation_row(row, q)
+}
+
+/// `(scale, zero)` for a row spanning `[lo, hi]`, or `None` for an empty
+/// row (or non-finite garbage a caller should never produce), which
+/// encodes as all-zero with identity scale. Shared by both quantizers.
+#[inline]
+fn activation_params(lo: f32, hi: f32) -> Option<(f32, i32)> {
+    if !(lo.is_finite() && hi.is_finite()) {
+        return None;
+    }
+    // The range must straddle zero so `zero` lands in [0, 255].
+    let (lo, hi) = (lo.min(0.0), hi.max(0.0));
+    let scale = if hi > lo { (hi - lo) / 255.0 } else { 1.0 };
+    let zero = (-lo / scale).round().clamp(0.0, 255.0) as i32;
+    Some((scale, zero))
+}
+
+/// One activation element: `round(x / scale) + zero`, clamped to u8.
+#[inline]
+fn quantize_one(x: f32, scale: f32, zero: i32) -> u8 {
+    ((x / scale).round() + zero as f32).clamp(0.0, 255.0) as u8
+}
+
+/// AVX2 twin of [`quantize_activation_row`], 16 elements per pass with a
+/// scalar tail; `None` (nothing written) when the row holds a NaN. Every
+/// step repeats the scalar IEEE operation (see the module docs).
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_activation_row_avx2(row: &[f32], q: &mut [u8]) -> Option<(f32, i32)> {
+    use std::arch::x86_64::*;
+    // The vector loads and stores below index `row` and `q` unchecked.
+    assert_eq!(
+        row.len(),
+        q.len(),
+        "activation row and output lengths differ"
+    );
+    let n = row.len();
+    let p = row.as_ptr();
+    let mut vlo = _mm256_set1_ps(f32::INFINITY);
+    let mut vhi = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut nan = _mm256_setzero_ps();
+    let body = n / 8 * 8;
+    for c in (0..body).step_by(8) {
+        // SAFETY: `c + 8 <= body <= n`.
+        let v = _mm256_loadu_ps(p.add(c));
+        vlo = _mm256_min_ps(vlo, v);
+        vhi = _mm256_max_ps(vhi, v);
+        nan = _mm256_or_ps(nan, _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+    }
+    if _mm256_movemask_ps(nan) != 0 || row[body..].iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let (mut lo_lanes, mut hi_lanes) = ([0.0f32; 8], [0.0f32; 8]);
+    _mm256_storeu_ps(lo_lanes.as_mut_ptr(), vlo);
+    _mm256_storeu_ps(hi_lanes.as_mut_ptr(), vhi);
+    let lo = lo_lanes
+        .iter()
+        .chain(&row[body..])
+        .fold(f32::INFINITY, |m, &x| m.min(x));
+    let hi = hi_lanes
+        .iter()
+        .chain(&row[body..])
+        .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let Some((scale, zero)) = activation_params(lo, hi) else {
+        q.iter_mut().for_each(|o| *o = 0);
+        return Some((1.0, 0));
+    };
+
+    let vscale = _mm256_set1_ps(scale);
+    let vzero = _mm256_set1_ps(zero as f32);
+    let sign = _mm256_set1_ps(-0.0);
+    let (half, one, max_q) = (
+        _mm256_set1_ps(0.5),
+        _mm256_set1_ps(1.0),
+        _mm256_set1_ps(255.0),
+    );
+    let fzero = _mm256_setzero_ps();
+    // Eight lanes: round half away from zero, add the zero point, clamp
+    // (max first, so a NaN quotient becomes 0), convert exactly to i32.
+    let quantize8 = |x: __m256| -> __m256i {
+        let y = _mm256_div_ps(x, vscale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(y);
+        let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(y, t));
+        let away = _mm256_or_ps(_mm256_and_ps(y, sign), one);
+        let bump = _mm256_and_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(frac, half), away);
+        let v = _mm256_add_ps(_mm256_add_ps(t, bump), vzero);
+        _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(v, fzero), max_q))
+    };
+    let wide = n / 16 * 16;
+    for c in (0..wide).step_by(16) {
+        // SAFETY: `c + 16 <= wide <= n == q.len()`.
+        let a = quantize8(_mm256_loadu_ps(p.add(c)));
+        let b = quantize8(_mm256_loadu_ps(p.add(c + 8)));
+        // i32 → u16 packs interleave the 128-bit halves; undo that before
+        // the u16 → u8 pack so bytes land in element order.
+        let w = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_packus_epi32(a, b));
+        let bytes = _mm_packus_epi16(_mm256_castsi256_si128(w), _mm256_extracti128_si256::<1>(w));
+        _mm_storeu_si128(q.as_mut_ptr().add(c) as *mut __m128i, bytes);
+    }
+    for (o, &x) in q[wide..].iter_mut().zip(&row[wide..]) {
+        *o = quantize_one(x, scale, zero);
+    }
+    Some((scale, zero))
 }
 
 /// Scalar twin of the int8 dot-product kernel, public for the
@@ -222,46 +507,70 @@ pub fn qdot_scalar(a: &[u8], w: &[i8]) -> i32 {
         .sum()
 }
 
-/// Forced-SIMD int8 dot product; `None` when AVX2 is unavailable.
+/// One output of the forced-AVX2 blocked kernel (all four lanes fed the
+/// same weight row); `None` when AVX2 is unavailable.
+///
+/// # Panics
+/// If `a` and `w` differ in length.
 pub fn qdot_force(a: &[u8], w: &[i8]) -> Option<i32> {
+    assert_eq!(a.len(), w.len(), "qdot operand lengths differ");
     #[cfg(target_arch = "x86_64")]
     if crate::simd::simd_available() {
-        // SAFETY: feature presence checked above.
-        return Some(unsafe { qdot_avx2(a, w) });
+        // SAFETY: feature presence checked above; lengths asserted equal.
+        return Some(unsafe {
+            std::arch::x86_64::_mm_cvtsi128_si32(dot_block_avx2([a], [w; 4])[0])
+        });
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (a, w);
     None
 }
 
-/// 16-lane AVX2 int8 dot product: u8 and i8 operands are widened to i16
-/// (`cvtepu8`/`cvtepi8` — exact), pair-multiplied into i32 lanes with
-/// `vpmaddwd` (products ≤ 32385, pair sums ≤ 64770 — exact in i32), and
-/// accumulated with `vpaddd`. Every step is exact integer arithmetic, so
-/// the horizontal sum order cannot matter and the result always equals
-/// [`qdot_scalar`].
+/// Int8 dot products of `R` activation rows against four weight rows,
+/// as `R` vectors of four i32 lanes. Each 16-byte activation chunk is
+/// widened u8→i16 once and each weight chunk i8→i16 once, then every
+/// pair meets in a `vpmaddwd` (products ≤ 32385, pair sums ≤ 64770 —
+/// exact in i32); one `hadd` tree per activation row reduces its four
+/// accumulators, and a `k % 16` tail adds in scalar. Every step is exact
+/// integer arithmetic, so each lane equals [`qdot_scalar`] for its pair.
+///
+/// # Safety
+/// The CPU must support AVX2, and every slice in `a` and `w` must have
+/// the same length (the chunk loads are unchecked).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn qdot_avx2(a: &[u8], w: &[i8]) -> i32 {
+#[inline]
+unsafe fn dot_block_avx2<const R: usize>(
+    a: [&[u8]; R],
+    w: [&[i8]; 4],
+) -> [std::arch::x86_64::__m128i; R] {
     use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), w.len());
-    let k = a.len();
-    let chunks = k / 16;
-    let mut acc = _mm256_setzero_si256();
-    for c in 0..chunks {
-        let av = _mm_loadu_si128(a.as_ptr().add(c * 16) as *const __m128i);
-        let wv = _mm_loadu_si128(w.as_ptr().add(c * 16) as *const __m128i);
-        let a16 = _mm256_cvtepu8_epi16(av);
-        let w16 = _mm256_cvtepi8_epi16(wv);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(a16, w16));
+    let k = w[0].len();
+    debug_assert!(a.iter().all(|r| r.len() == k) && w.iter().all(|r| r.len() == k));
+    let wide = k / 16 * 16;
+    let mut acc = [[_mm256_setzero_si256(); 4]; R];
+    for c in (0..wide).step_by(16) {
+        // SAFETY: `c + 16 <= wide <= k`, every slice's length.
+        let w16 =
+            w.map(|r| _mm256_cvtepi8_epi16(_mm_loadu_si128(r.as_ptr().add(c) as *const __m128i)));
+        for (row, acc) in a.iter().zip(acc.iter_mut()) {
+            let a16 = _mm256_cvtepu8_epi16(_mm_loadu_si128(row.as_ptr().add(c) as *const __m128i));
+            for (acc, &w16) in acc.iter_mut().zip(&w16) {
+                *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(a16, w16));
+            }
+        }
     }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut sum: i32 = lanes.iter().sum();
-    for i in chunks * 16..k {
-        sum += *a.get_unchecked(i) as i32 * *w.get_unchecked(i) as i32;
-    }
-    sum
+    std::array::from_fn(|i| {
+        let [s0, s1, s2, s3] = acc[i];
+        // [t0 t1 t2 t3 | t0' t1' t2' t3'] after two hadd levels; fold halves.
+        let h = _mm256_hadd_epi32(_mm256_hadd_epi32(s0, s1), _mm256_hadd_epi32(s2, s3));
+        let sums = _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256::<1>(h));
+        if wide == k {
+            return sums;
+        }
+        let tail = w.map(|r| qdot_scalar(&a[i][wide..], &r[wide..]));
+        _mm_add_epi32(sums, _mm_loadu_si128(tail.as_ptr() as *const __m128i))
+    })
 }
 
 #[cfg(test)]
@@ -349,6 +658,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "lengths differ")]
+    fn forced_qdot_rejects_mismatched_lengths() {
+        qdot_force(&[1; 32], &[1; 16]);
+    }
+
+    #[test]
+    fn forced_quantizer_rejects_mismatched_lengths() {
+        let r =
+            std::panic::catch_unwind(|| quantize_activation_row_force(&[1.0; 32], &mut [0u8; 16]));
+        assert!(r.is_err() || !crate::simd::simd_available());
+    }
+
+    #[test]
     fn extreme_operands_do_not_overflow() {
         // worst case: every product at maximum magnitude, long k
         let k = 4096;
@@ -385,6 +707,27 @@ mod tests {
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn empty_inner_dim_yields_zeros_on_both_paths() {
+        let q = QuantMatrix::from_parts(5, 0, vec![], vec![0.5; 5]);
+        for use_simd in [false, true] {
+            assert_eq!(q.matmul_f32_with(&[], 3, use_simd), vec![0.0; 15]);
+        }
+    }
+
+    #[test]
+    fn qmatmul_counters_record_calls_and_madds() {
+        rpt_obs::set_metrics_enabled(true);
+        let calls = rpt_obs::counter("tensor.qmatmul_calls");
+        let madds = rpt_obs::counter("tensor.qmatmul_madds");
+        let (c0, a0) = (calls.value(), madds.value());
+        let q = QuantMatrix::quantize_rows(&[1.0; 15], 5, 3);
+        q.matmul_f32(&[0.5; 6], 2);
+        // other tests may run quantized matmuls concurrently
+        assert!(calls.value() > c0);
+        assert!(madds.value() - a0 >= 2 * 3 * 5);
     }
 
     #[test]

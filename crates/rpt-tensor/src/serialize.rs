@@ -978,7 +978,16 @@ pub fn load_quant_json(
             })
             .collect::<Option<_>>()
             .ok_or_else(|| structure(format!("quant tensor {name} has non-i8 data")))?;
-        if data.len() != n_out * k || scales.len() != n_out {
+        if k > crate::quant::QMATMUL_MAX_K {
+            return Err(structure(format!(
+                "quant tensor {name} inner dim {k} exceeds {}",
+                crate::quant::QMATMUL_MAX_K
+            )));
+        }
+        let size = n_out
+            .checked_mul(k)
+            .ok_or_else(|| structure(format!("quant tensor {name} size {n_out}x{k} overflows")))?;
+        if data.len() != size || scales.len() != n_out {
             return Err(structure(format!(
                 "quant tensor {name} sizes disagree: {}x{} with {} weights, {} scales",
                 n_out,
@@ -1224,6 +1233,32 @@ mod tests {
             load_quant_json(json),
             Err(CheckpointError::Mismatch(_))
         ));
+    }
+
+    /// A one-tensor quant section with the given header dims and no data.
+    fn quant_section(n_out: u64, k: u64) -> String {
+        format!(
+            r#"{{"format_version":1,"params":[],"quant":{{"format":"quant-v1","tensors":[{{"name":"w","n_out":{n_out},"k":{k},"data":[],"scales":[]}}]}}}}"#
+        )
+    }
+
+    #[test]
+    fn overflowing_quant_size_is_a_typed_error() {
+        let err = load_quant_json(&quant_section(u64::MAX / 2, 4)).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Mismatch(m) if m.contains("overflows")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn quant_inner_dim_past_the_kernel_ceiling_is_a_typed_error() {
+        let k = crate::quant::QMATMUL_MAX_K as u64 + 1;
+        let err = load_quant_json(&quant_section(0, k)).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Mismatch(m) if m.contains("exceeds")),
+            "{err}"
+        );
     }
 
     #[test]

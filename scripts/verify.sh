@@ -2,7 +2,9 @@
 # Tier-1 verification plus the parallel-determinism gate.
 #
 # 1. Offline release build + full workspace test suite (the tier-1 bar),
-#    then clippy over every workspace target with warnings denied.
+#    then clippy over every workspace target with warnings denied, then
+#    the perfbench/ harness's own test suite (an API break against the
+#    benchmark fails here).
 # 2. The equivalence suites re-run with a 4-thread global pool, proving
 #    that (a) the data-parallel trainer and parallel matmul kernels and
 #    (b) the KV-cached incremental decoder are bit-identical to their
@@ -27,8 +29,10 @@
 #    over raw TCP covering every endpoint plus the serve.* metrics.
 # 8. The quantization gate: the int8 equivalence suite under every
 #    RPT_SIMD x RPT_THREADS combination with a cross-process decode
-#    fingerprint diff, a fast-mode quant bench whose artifact must parse
-#    and show int8 beating f32, and a quantize-then-serve smoke drive
+#    fingerprint diff (the suite also pins the fingerprint's golden
+#    value), a fast-mode quant bench whose artifact must parse, show int8
+#    beating f32 and carry the decode-shape kernel arms, and a
+#    quantize-then-serve smoke drive
 #    (`rpt quantize` a saved model, serve it with --quant, check
 #    /healthz reports quant and /v1/clean still answers).
 # 9. The streaming gate: the streaming-equivalence and fault-injection
@@ -53,6 +57,11 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+# The benchmark harness is its own workspace over the repository's crates:
+# building and testing it here makes an API break against it fail
+# verification rather than a later benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 RPT_THREADS=4 cargo test -q --offline --test parallel_equivalence
 RPT_THREADS=4 cargo test -q --offline --test decode_equivalence
@@ -205,10 +214,11 @@ print(f"verify: obs bench OK (fast-mode degradation {deg:.1%}, "
 PY
 fi
 
-# Quantized-decode bench smoke: the artifact must parse and show int8
-# beating f32 greedy decode. The bar is lenient in fast mode (few
-# samples); the committed full-mode bench_results/bench_quant.json holds
-# the >= 1.8x line.
+# Quantized-decode bench smoke: the artifact must parse, show int8
+# beating f32 greedy decode, and carry the decode-shape kernel arms
+# (scalar vs dispatched int8 matmul ns per call). The bar is lenient in
+# fast mode (few samples); the committed full-mode
+# bench_results/bench_quant.json holds the >= 1.8x line.
 RPT_BENCH_FAST=1 RPT_THREADS=1 RPT_BENCH_DIR="$smoke_dir" \
     cargo bench -q --offline -p rpt-bench --bench micro -- quant
 test -s "$smoke_dir/bench_quant.json" || {
@@ -224,6 +234,10 @@ for key in ("simd", "cpu_features", "threads", "f32_tokens_per_sec",
             "quant_tokens_per_sec", "speedup"):
     assert key in quant, f"bench_quant missing {key}"
 assert quant["f32_tokens_per_sec"] > 0 and quant["quant_tokens_per_sec"] > 0
+# decode-shape kernel arms: forced scalar vs dispatched, ns per call
+for shape in ("7x64x64", "7x64x128", "7x128x64", "7x64x565"):
+    for key in (f"qmatmul_{shape}_scalar_ns", f"qmatmul_{shape}_ns"):
+        assert quant.get(key, 0) > 0, f"bench_quant missing {key}"
 s = quant["speedup"]
 assert s >= 1.2, f"int8 decode not faster than f32: speedup={s:.3f}"
 print(f"verify: quant bench OK (speedup {s:.3f})")
