@@ -1078,6 +1078,17 @@ fn bench_streaming() {
     );
     println!("streaming/prefetch_overlap_ratio   {overlap:>12.3}");
 
+    // Checkpoint codec: one full train-state save and load of the model
+    // `rpt pretrain` builds by default (`CleaningConfig::default()` over
+    // this corpus's vocabulary), with Adam moments for every parameter.
+    let (save_t, load_t, ckpt_bytes) =
+        bench_checkpoint(RptC::new(vocab.clone(), CleaningConfig::default()).params);
+    println!(
+        "streaming/ckpt_save                {:>12}  ({ckpt_bytes} bytes)",
+        human(save_t)
+    );
+    println!("streaming/ckpt_load                {:>12}", human(load_t));
+
     let mut root = rpt_json::Map::new();
     root.insert(
         "bench".into(),
@@ -1133,7 +1144,67 @@ fn bench_streaming() {
         rpt_json::Json::from(tps(pf_t)),
     );
     root.insert("overlap_ratio".into(), rpt_json::Json::from(overlap));
+    root.insert(
+        "ckpt_save_ns".into(),
+        rpt_json::Json::from(save_t.as_nanos() as u64),
+    );
+    root.insert(
+        "ckpt_load_ns".into(),
+        rpt_json::Json::from(load_t.as_nanos() as u64),
+    );
+    root.insert("ckpt_bytes".into(), rpt_json::Json::from(ckpt_bytes));
     rpt_bench::emit_artifact("bench_streaming", &rpt_json::Json::Object(root));
+}
+
+/// Median wall time of a full train-state checkpoint save and load of
+/// `params` (Adam moments for every parameter, a loss curve), plus the
+/// file's size. The load must restore the saved values bit for bit.
+fn bench_checkpoint(mut params: ParamStore) -> (Duration, Duration, u64) {
+    use rpt_tensor::serialize::{load_train_file, save_train_file};
+    use rpt_tensor::{AdamState, TrainState};
+
+    let moments = params
+        .iter()
+        .map(|(name, t)| {
+            let (m, v) = (t.map(|x| x * 0.1), t.map(|x| x * x * 1e-3));
+            (name.to_string(), m, v)
+        })
+        .collect();
+    let state = TrainState {
+        adam: Some(AdamState { t: 400, moments }),
+        rng_streams: vec![("model".into(), [1, 2, 3, 4])],
+        steps_done: 400,
+        losses: (0..400).map(|i| 5.0 / (1.0 + i as f32)).collect(),
+        corpus: None,
+    };
+    let path = std::env::temp_dir().join("rpt-bench-ckpt-train_state.json");
+    let reps = if fast_mode() { 2 } else { 7 };
+    let (mut save, mut load) = (Vec::new(), Vec::new());
+    let param_bits = |p: &ParamStore| -> Vec<u32> {
+        p.iter()
+            .flat_map(|(_, t)| t.data().iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    let expected = param_bits(&params);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        save_train_file(&params, &state, &path).unwrap();
+        save.push(t0.elapsed());
+        let t0 = Instant::now();
+        let back = load_train_file(&mut params, &path).unwrap();
+        load.push(t0.elapsed());
+        assert_eq!(back.losses.len(), 400);
+    }
+    assert_eq!(
+        param_bits(&params),
+        expected,
+        "checkpoint load changed the parameters"
+    );
+    let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+    std::fs::remove_file(&path).ok();
+    save.sort();
+    load.sort();
+    (save[reps / 2], load[reps / 2], bytes)
 }
 
 fn main() {

@@ -1,7 +1,8 @@
 //! # rpt-json
 //!
 //! In-tree JSON: a [`Json`] value type, a compact/pretty writer, a
-//! recursive-descent parser, and a [`json!`] literal macro. Replaces
+//! recursive-descent parser with a pull [`Reader`] underneath (for
+//! documents too large to hold as a tree), and a [`json!`] literal macro. Replaces
 //! `serde`/`serde_json` so the workspace builds with zero external
 //! crates (checkpoints, vocab save/load, and the `bench_results/*.json`
 //! artifact emitters all go through here).
@@ -15,7 +16,20 @@ mod macros;
 mod parse;
 mod write;
 
-pub use parse::{parse, JsonError};
+pub use parse::{parse, JsonError, Next, Reader};
+
+/// Appends `f` as a JSON number token, byte-identical to how a
+/// [`Json::Float`] holding it is written (`null` if non-finite). For
+/// streaming writers that emit large documents without a tree.
+pub fn push_number(out: &mut String, f: f64) {
+    write::number_into(f, out).expect("writing to a String cannot fail");
+}
+
+/// Appends `s` quoted and escaped, byte-identical to how a [`Json::Str`]
+/// holding it is written.
+pub fn push_string(out: &mut String, s: &str) {
+    write::escape_into(s, out).expect("writing to a String cannot fail");
+}
 
 /// An insertion-ordered string → [`Json`] map (what JSON objects hold).
 ///
@@ -381,5 +395,113 @@ mod tests {
         // ryu-style exponents from serde_json float output
         assert_eq!(Json::parse("1e-45").unwrap().as_f64(), Some(1e-45));
         assert_eq!(Json::parse("3.4028235e38").unwrap().as_f64(), Some(3.4028235e38));
+    }
+
+    #[test]
+    fn number_writer_matches_display_at_the_extremes() {
+        // the stack buffer must hold the longest Display forms
+        let vals = [
+            f64::MAX,
+            -f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            1.401298464324817e-45,
+            0.1,
+            -0.0,
+            1e21,
+            123456789.0,
+        ];
+        for x in vals {
+            let mut want = format!("{x}");
+            if !want.contains('.') {
+                want.push_str(".0");
+            }
+            let mut got = String::new();
+            push_number(&mut got, x);
+            assert_eq!(got, want);
+            assert_eq!(Json::Float(x).to_string(), want);
+        }
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut got = String::new();
+            push_number(&mut got, x);
+            assert_eq!(got, "null");
+        }
+        let mut s = String::new();
+        push_string(&mut s, "a\"\u{1}");
+        assert_eq!(s, Json::from("a\"\u{1}").to_string());
+    }
+
+    #[test]
+    fn reader_walks_a_document_without_a_tree() {
+        let doc = r#" {"n": 3, "xs": [1, 2.5, -3e2], "bad": [1, "x", [2]], "obj": {"a": [[]]}, "s": "q"} "#;
+        let mut r = Reader::new(doc);
+        r.begin_object().unwrap();
+        let mut seen = Vec::new();
+        while let Some(key) = r.next_key().unwrap() {
+            match key.as_str() {
+                "n" => assert_eq!(r.value().unwrap(), Json::Int(3)),
+                "xs" => assert_eq!(r.f32_array().unwrap(), Some(vec![1.0, 2.5, -300.0])),
+                "bad" => assert_eq!(r.f32_array().unwrap(), None),
+                "s" => {
+                    assert_eq!(r.peek().unwrap(), Next::Str);
+                    assert_eq!(r.f32_array().unwrap(), None);
+                }
+                _ => r.skip().unwrap(),
+            }
+            seen.push(key);
+        }
+        assert_eq!(seen, ["n", "xs", "bad", "obj", "s"]);
+        r.finish().unwrap();
+        let ints = Reader::new("[1, -128, 300]")
+            .number_array(|n| n.as_i64().and_then(|i| i8::try_from(i).ok()))
+            .unwrap();
+        assert_eq!(ints, None);
+    }
+
+    #[test]
+    fn skip_and_parse_agree_on_every_input() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let mut docs: Vec<String> = [
+            "",
+            " ",
+            "null",
+            "nul",
+            "true",
+            "[1,]",
+            "[,1]",
+            "{,}",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "[1 2]",
+            "{\"a\":1 \"b\":2}",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            "-",
+            "1e",
+            "01",
+            "[1, {\"k\": [true, false, null]}]",
+            "{\"a\":1}}",
+            "  [ ]  ",
+            "{}",
+            "1 2",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        docs.extend([deep(128), deep(129), deep(130), deep(200)]);
+        docs.push("[".repeat(129) + "1" + &"]".repeat(129));
+        for doc in &docs {
+            let tree = parse(doc);
+            let mut r = Reader::new(doc);
+            let skipped = r.skip().and_then(|()| r.finish());
+            match (&tree, &skipped) {
+                (Ok(_), Ok(())) => {}
+                (Err(a), Err(b)) => assert_eq!(a, b, "{doc:?}"),
+                _ => panic!("{doc:?}: parse {tree:?} vs skip {skipped:?}"),
+            }
+        }
+        assert!(parse(&deep(129)).is_ok());
+        assert!(parse(&deep(130)).is_err());
     }
 }

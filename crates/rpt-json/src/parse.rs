@@ -1,5 +1,12 @@
 //! A minimal recursive-descent JSON parser (RFC 8259 subset: no
 //! duplicate-key policy beyond last-wins, recursion depth capped).
+//!
+//! Everything is built on one pull [`Reader`]: [`parse`] drives it to
+//! build a [`Json`] tree, while large documents (checkpoints) walk it
+//! key by key and decode numeric arrays straight into vectors, so they
+//! never materialize a tree. Both paths share one tokenizer — strings,
+//! escapes, numbers, literals, whitespace and the depth cap — so they
+//! accept and reject exactly the same texts, with the same errors.
 
 use crate::{Json, Map};
 
@@ -25,25 +32,250 @@ impl std::error::Error for JsonError {}
 
 /// Parses a complete JSON document (trailing garbage is an error).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
-    }
+    let mut r = Reader::new(text);
+    let v = r.value()?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The kind of the next value, as [`Reader::peek`] reports it (from its
+/// first byte; the value itself is not validated until it is consumed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool,
+    /// A number.
+    Number,
+    /// A string.
+    Str,
+    /// An array.
+    Array,
+    /// An object.
+    Object,
 }
 
-impl<'a> Parser<'a> {
+/// A pull reader over one JSON document.
+///
+/// Containers are walked with [`Reader::begin_object`] + [`Reader::next_key`]
+/// and [`Reader::begin_array`] + [`Reader::next_element`]; every other
+/// value is consumed with [`Reader::value`] (as a small tree),
+/// [`Reader::skip`], or [`Reader::number_array`] / [`Reader::f32_array`]
+/// (straight into a vector). [`Reader::finish`] rejects trailing bytes.
+///
+/// The reader tracks nesting itself, so the depth cap and every syntax
+/// error match [`parse`] exactly. Calling `next_key` or `next_element`
+/// with no container open panics; calling one inside the other kind of
+/// container is a caller bug that surfaces as a parse error.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open around the position.
+    depth: usize,
+    /// The innermost container was just opened and has no member yet
+    /// (any container the reader returns to already has one).
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader positioned before the document's top-level value.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// Kind of the next value, without consuming it. Errors at end of
+    /// input, on a byte that starts no value, and past the depth cap.
+    #[inline]
+    pub fn peek(&mut self) -> Result<Next, JsonError> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.bytes.get(self.pos) {
+            Some(b'n') => Ok(Next::Null),
+            Some(b't' | b'f') => Ok(Next::Bool),
+            Some(b'"') => Ok(Next::Str),
+            Some(b'[') => Ok(Next::Array),
+            Some(b'{') => Ok(Next::Object),
+            Some(c) if *c == b'-' || c.is_ascii_digit() => Ok(Next::Number),
+            Some(_) => Err(self.err("unexpected character")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// Consumes the next value as a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.peek()? {
+            Next::Null => self.literal("null", Json::Null),
+            Next::Bool if self.bytes[self.pos] == b't' => self.literal("true", Json::Bool(true)),
+            Next::Bool => self.literal("false", Json::Bool(false)),
+            Next::Str => self.string().map(Json::Str),
+            Next::Number => self.number(),
+            Next::Array => {
+                self.open_container();
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Array(items))
+            }
+            Next::Object => {
+                self.open_container();
+                let mut map = Map::new();
+                while let Some(key) = self.next_key()? {
+                    let val = self.value()?;
+                    map.insert(key, val);
+                }
+                Ok(Json::Object(map))
+            }
+        }
+    }
+
+    /// Consumes the next value, validating it, without building anything.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek()? {
+            Next::Array => {
+                self.open_container();
+                while self.next_element()? {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Next::Object => {
+                self.open_container();
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+                Ok(())
+            }
+            Next::Str => self.string().map(drop),
+            Next::Number => self.number().map(drop),
+            Next::Null | Next::Bool => self.value().map(drop),
+        }
+    }
+
+    /// Opens the object the next value must be.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.begin(b'{')
+    }
+
+    /// The next key of the innermost open object, positioned before its
+    /// value — or `None` once the object's closing brace is consumed.
+    #[inline]
+    pub fn next_key(&mut self) -> Result<Option<String>, JsonError> {
+        if !self.more(b'}', "expected ',' or '}' in object")? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens the array the next value must be.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.begin(b'[')
+    }
+
+    /// True when another element of the innermost open array follows
+    /// (the caller must consume it); false once the closing bracket is
+    /// consumed.
+    #[inline]
+    pub fn next_element(&mut self) -> Result<bool, JsonError> {
+        self.more(b']', "expected ',' or ']' in array")
+    }
+
+    /// Consumes the next value and, if it is an array whose every element
+    /// is a number that `f` accepts, returns the converted elements —
+    /// with no tree built. `None` (the value still fully consumed and
+    /// validated) for anything else. `f` sees each number as
+    /// [`Json::Int`] or [`Json::Float`], exactly as [`parse`] types it.
+    pub fn number_array<T>(
+        &mut self,
+        mut f: impl FnMut(&Json) -> Option<T>,
+    ) -> Result<Option<Vec<T>>, JsonError> {
+        if self.peek()? != Next::Array {
+            self.skip()?;
+            return Ok(None);
+        }
+        self.begin_array()?;
+        let mut out = Some(Vec::new());
+        while self.next_element()? {
+            let item = match self.peek()? {
+                Next::Number => f(&self.number()?),
+                _ => {
+                    self.skip()?;
+                    None
+                }
+            };
+            match (&mut out, item) {
+                (Some(v), Some(x)) => v.push(x),
+                _ => out = None,
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`Reader::number_array`] into `f32`s, converting as
+    /// `as_f64() as f32` does (integer tokens included).
+    pub fn f32_array(&mut self) -> Result<Option<Vec<f32>>, JsonError> {
+        self.number_array(|n| n.as_f64().map(|x| x as f32))
+    }
+
+    /// Ends the document: only whitespace may follow the top-level value.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(())
+    }
+
+    // -- shared tokenizer ---------------------------------------------------
+
+    fn begin(&mut self, open: u8) -> Result<(), JsonError> {
+        self.peek()?;
+        self.expect(open)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Consumes the `[` or `{` that [`Reader::peek`] just reported.
+    fn open_container(&mut self) {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+    }
+
+    /// Advances past the separator before the innermost container's next
+    /// member: true if a member follows, false (container closed) at
+    /// `close`.
+    #[inline]
+    fn more(&mut self, close: u8, msg: &str) -> Result<bool, JsonError> {
+        assert!(self.depth > 0, "no open container");
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        self.skip_ws();
+        match self.peek_byte() {
+            Some(c) if c == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            Some(b',') if !fresh => self.pos += 1,
+            _ if !fresh => return Err(self.err(msg)),
+            _ => {}
+        }
+        self.skip_ws();
+        Ok(true)
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             message: msg.to_string(),
@@ -51,18 +283,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    #[inline]
+    fn peek_byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek_byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
+        if self.peek_byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
@@ -79,79 +313,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value(depth + 1)?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
+            match self.peek_byte() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
@@ -159,7 +325,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+                    let esc = self.peek_byte().ok_or_else(|| self.err("bad escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -174,7 +340,7 @@ impl<'a> Parser<'a> {
                             let hi = self.hex4()?;
                             let c = if (0xD800..0xDC00).contains(&hi) {
                                 // surrogate pair: require \uXXXX low half
-                                if self.peek() == Some(b'\\') {
+                                if self.peek_byte() == Some(b'\\') {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                 } else {
@@ -184,13 +350,11 @@ impl<'a> Parser<'a> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid \\u escape"))?
                             };
                             out.push(c);
                         }
@@ -226,11 +390,11 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if self.peek_byte() == Some(b'-') {
             self.pos += 1;
         }
         let mut is_float = false;
-        while let Some(c) = self.peek() {
+        while let Some(c) = self.peek_byte() {
             match c {
                 b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' => {
@@ -241,18 +405,16 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number spans ascii bytes");
+        // SAFETY: the loop above advanced only over ASCII bytes.
+        let text = unsafe { std::str::from_utf8_unchecked(&self.bytes[start..self.pos]) };
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Float)
-            .map_err(|_| JsonError {
-                message: format!("invalid number '{text}'"),
-                offset: start,
-            })
+        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
+            message: format!("invalid number '{text}'"),
+            offset: start,
+        })
     }
 }

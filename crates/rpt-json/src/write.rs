@@ -26,18 +26,57 @@ pub(crate) fn escape_into<W: Write>(s: &str, out: &mut W) -> fmt::Result {
 
 /// A number token. Rust's `Display` for `f64` is shortest-round-trip and
 /// never uses exponent notation, so the output is always valid JSON;
-/// non-finite values become `null` (as `serde_json` does).
-fn number_into<W: Write>(f: f64, out: &mut W) -> fmt::Result {
+/// non-finite values become `null` (as `serde_json` does). The digits are
+/// formatted into a stack buffer, so writing a number allocates nothing.
+pub(crate) fn number_into<W: Write>(f: f64, out: &mut W) -> fmt::Result {
     if !f.is_finite() {
         return out.write_str("null");
     }
-    let s = format!("{f}");
-    out.write_str(&s)?;
+    let mut buf = NumBuf::default();
+    write!(buf, "{f}")?;
+    let s = buf.as_str();
+    out.write_str(s)?;
     // keep floats recognizably floats ("2" -> "2.0")
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    if !s.bytes().any(|c| matches!(c, b'.' | b'e' | b'E')) {
         out.write_str(".0")?;
     }
     Ok(())
+}
+
+/// Room for the longest finite `f64` in `Display` form: a sign, then
+/// either at most 309 integer digits or "0." and at most 324 fraction
+/// digits (the last one no finer than the smallest subnormal).
+const NUM_BUF: usize = 352;
+
+/// A fixed-capacity stack buffer [`number_into`] formats into.
+struct NumBuf {
+    bytes: [u8; NUM_BUF],
+    len: usize,
+}
+
+impl Default for NumBuf {
+    fn default() -> Self {
+        NumBuf {
+            bytes: [0; NUM_BUF],
+            len: 0,
+        }
+    }
+}
+
+impl NumBuf {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("Display writes UTF-8")
+    }
+}
+
+impl Write for NumBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let slot = self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?;
+        slot.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
 }
 
 pub(crate) fn compact<W: Write>(v: &Json, out: &mut W) -> fmt::Result {

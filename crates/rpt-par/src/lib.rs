@@ -13,9 +13,9 @@
 //!
 //! [`ThreadPool::global`] reads the `RPT_THREADS` environment variable once:
 //!
-//! * unset / empty / `"1"` → 1 thread (the caller only; existing
-//!   single-threaded behaviour is unchanged),
-//! * `"0"` or `"auto"` → [`std::thread::available_parallelism`],
+//! * unset / empty / `"0"` / `"auto"` → [`hardware_threads`] (every
+//!   core; results do not depend on the width, see below),
+//! * `"1"` → 1 thread (the caller only, fully serial),
 //! * `N` → `N` *configured* threads.
 //!
 //! The global pool **clamps its dispatch width** to the hardware:
@@ -450,12 +450,11 @@ impl<T> SendPtr<T> {
 }
 
 /// Parses an `RPT_THREADS` value into a thread count. Pure, for testability:
-/// `None`/empty → 1; `"0"`/`"auto"` → available parallelism; `N` → `N`;
+/// `None`/empty/`"0"`/`"auto"` → available parallelism; `N` → `N`;
 /// anything unparsable → 1.
 pub fn threads_from_env(value: Option<&str>) -> usize {
     match value.map(str::trim) {
-        None | Some("") => 1,
-        Some("0") | Some("auto") => hardware_threads(),
+        None | Some("") | Some("0") | Some("auto") => hardware_threads(),
         Some(v) => v.parse::<usize>().unwrap_or(1).max(1),
     }
 }
@@ -479,13 +478,14 @@ mod tests {
 
     #[test]
     fn threads_from_env_parses() {
-        assert_eq!(threads_from_env(None), 1);
-        assert_eq!(threads_from_env(Some("")), 1);
+        assert_eq!(threads_from_env(None), hardware_threads());
+        assert_eq!(threads_from_env(Some("")), hardware_threads());
+        assert_eq!(threads_from_env(Some("1")), 1);
         assert_eq!(threads_from_env(Some("3")), 3);
         assert_eq!(threads_from_env(Some(" 8 ")), 8);
         assert_eq!(threads_from_env(Some("banana")), 1);
-        assert!(threads_from_env(Some("auto")) >= 1);
-        assert!(threads_from_env(Some("0")) >= 1);
+        assert_eq!(threads_from_env(Some("auto")), hardware_threads());
+        assert_eq!(threads_from_env(Some("0")), hardware_threads());
     }
 
     #[test]
@@ -712,10 +712,9 @@ mod tests {
     }
 
     #[test]
-    fn global_pool_defaults_to_one_thread_without_env() {
-        // The test environment does not set RPT_THREADS, so the global pool
-        // must keep the repo's single-threaded default behaviour. (If a
-        // verify harness sets RPT_THREADS, accept its value instead.)
+    fn global_pool_width_follows_env() {
+        // Without RPT_THREADS the global pool spans the hardware; a verify
+        // harness that sets RPT_THREADS gets its value instead.
         let expected = threads_from_env(std::env::var("RPT_THREADS").ok().as_deref());
         assert_eq!(ThreadPool::global().num_threads(), expected);
     }

@@ -10,6 +10,15 @@
 //! are written with shortest round-trip decimal encoding, which makes
 //! `f32` tensors bit-identical after a save/load cycle.
 //!
+//! One codec serves all three families (params v1, train-state v2,
+//! `quant-v1`), and neither direction builds a `Json` tree for tensor
+//! data: writers stream the document into one buffer reserved from the
+//! element count, and loaders pull it through [`rpt_json::Reader`],
+//! decoding numeric arrays straight into vectors. Loads are all or
+//! nothing — the whole document is decoded and validated before the
+//! caller's store changes — and saves refuse non-finite values (which
+//! JSON cannot carry) before anything is staged.
+//!
 //! Two extensions support crash-safe resumable training (see DESIGN.md,
 //! "Durable training state"):
 //!
@@ -21,14 +30,15 @@
 //!   fsync-dir through the [`CheckpointIo`] trait, so a crash at any
 //!   point leaves a complete old or complete new file, never a torn one.
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::LazyLock;
 
-use rpt_json::{json, Json, JsonError};
+use rpt_json::{Json, JsonError, Next, Reader};
 
-use crate::optim::{AdamState, ParamStore};
+use crate::optim::{AdamState, ParamId, ParamStore};
 use crate::tensor::Tensor;
 
 /// Checkpoint-IO metrics (DESIGN.md §Observability): every stage of the
@@ -282,6 +292,9 @@ pub enum CheckpointError {
     /// Well-formed JSON that is not a checkpoint, or a checkpoint that
     /// does not match the store's parameters.
     Mismatch(String),
+    /// A save refused because the named tensor (or loss) holds a NaN or
+    /// ±inf, which JSON cannot carry; nothing was written.
+    NonFinite(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -290,6 +303,9 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint io error: {e}"),
             CheckpointError::Parse(e) => write!(f, "checkpoint parse error: {e}"),
             CheckpointError::Mismatch(m) => write!(f, "checkpoint mismatch: {m}"),
+            CheckpointError::NonFinite(what) => {
+                write!(f, "checkpoint refused: {what} holds a non-finite value")
+            }
         }
     }
 }
@@ -312,76 +328,361 @@ fn structure(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Mismatch(msg.into())
 }
 
-fn shape_json(shape: &[usize]) -> Vec<Json> {
-    shape.iter().map(|&d| Json::from(d)).collect()
+// ---------------------------------------------------------------------------
+// Streaming writer
+// ---------------------------------------------------------------------------
+
+/// Bytes reserved per float: the longest `f32` token ("-0." + 44 zeros +
+/// 17 digits, for the smallest subnormal) plus its comma.
+const FLOAT_BYTES: usize = 65;
+/// Bytes reserved per record beyond its floats and name: keys, braces,
+/// a few shape dims, or one RNG stream.
+const RECORD_BYTES: usize = 160;
+
+/// Whole-document buffers (a save's output, a load's input) are reserved
+/// at no less than this. glibc's malloc serves a request this large from
+/// a fresh mapping and unmaps it on free (it adapts its mmap threshold only
+/// to freed blocks of up to 32 MiB), so a save or load leaves no freed but
+/// still resident copy of a document behind for the next one to land
+/// beside. Capacity that is never written costs address space, not memory;
+/// the price is a page fault per written page on every save and load.
+const DOC_BUF_MIN: usize = (32 << 20) + 4096;
+
+/// Bytes [`DocWriter::new`] reserves for one `name` record of `floats` floats.
+fn record_bytes(name: &str, floats: usize) -> usize {
+    RECORD_BYTES + 6 * name.len() + FLOAT_BYTES * floats
 }
 
-fn floats_json(data: &[f32]) -> Vec<Json> {
-    data.iter().map(|&x| Json::from(x)).collect()
-}
-
-fn param_records(store: &ParamStore) -> Vec<Json> {
+/// Reservation for a store's `params` array.
+fn params_bytes(store: &ParamStore) -> usize {
     store
         .iter()
-        .map(|(name, t)| {
-            json!({
-                "name": name,
-                "shape": shape_json(t.shape()),
-                "data": floats_json(t.data()),
-            })
-        })
-        .collect()
+        .map(|(name, t)| record_bytes(name, t.numel()))
+        .sum()
 }
 
-/// Serializes every parameter of `store` to a JSON string.
+/// A checkpoint document streamed into one buffer reserved up front from
+/// the element count — no `Json` tree. The bytes must equal `Json`'s
+/// compact form of the same document, so files stay byte-compatible
+/// (`tests/checkpoint_codec.rs` holds the tree writer as referee). A
+/// non-finite float is written as `null`, as `Json` writes it, and the
+/// first one is remembered: the savers refuse such a document, since no
+/// loader would read it back.
+struct DocWriter {
+    out: String,
+    /// Where the first non-finite value sits, for the error message.
+    non_finite: Option<String>,
+}
+
+impl DocWriter {
+    fn new(reserve: usize) -> Self {
+        DocWriter {
+            out: String::with_capacity((reserve + RECORD_BYTES).max(DOC_BUF_MIN)),
+            non_finite: None,
+        }
+    }
+
+    fn raw(&mut self, s: &str) {
+        self.out.push_str(s);
+    }
+
+    fn string(&mut self, s: &str) {
+        rpt_json::push_string(&mut self.out, s);
+    }
+
+    /// An integer, written exactly as its [`Json`] conversion writes it.
+    fn int(&mut self, n: impl Into<Json>) {
+        write!(self.out, "{}", n.into()).expect("writing to a String cannot fail");
+    }
+
+    /// A float; `what` names its owner if it is the first non-finite one.
+    fn float(&mut self, what: &str, x: f32) {
+        if !x.is_finite() && self.non_finite.is_none() {
+            self.non_finite = Some(what.to_string());
+        }
+        rpt_json::push_number(&mut self.out, x as f64);
+    }
+
+    /// `[a,b,...]`, one `item` call per element.
+    fn list<T>(&mut self, items: impl IntoIterator<Item = T>, mut item: impl FnMut(&mut Self, T)) {
+        self.out.push('[');
+        for (i, x) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            item(self, x);
+        }
+        self.out.push(']');
+    }
+
+    fn floats(&mut self, what: &str, xs: &[f32]) {
+        self.list(xs, |w, &x| w.float(what, x));
+    }
+
+    /// `{"name":...,"shape":[...],"<key>":[...],...}`.
+    fn tensor(&mut self, name: &str, shape: &[usize], arrays: &[(&str, &[f32])]) {
+        self.raw("{\"name\":");
+        self.string(name);
+        self.raw(",\"shape\":");
+        self.list(shape, |w, &d| w.int(d));
+        for (key, data) in arrays {
+            self.raw(",\"");
+            self.raw(key);
+            self.raw("\":");
+            self.floats(name, data);
+        }
+        self.raw("}");
+    }
+
+    /// `{"format_version":V,"params":[...]` — the v1 prefix every
+    /// checkpoint family shares (the caller closes the object).
+    fn params(&mut self, version: u32, store: &ParamStore) {
+        self.raw("{\"format_version\":");
+        self.int(version);
+        self.raw(",\"params\":");
+        self.list(store.iter(), |w, (name, t)| {
+            w.tensor(name, t.shape(), &[("data", t.data())])
+        });
+    }
+
+    /// The document's bytes, or the typed refusal for a non-finite value.
+    fn finish(self) -> Result<String, CheckpointError> {
+        match self.non_finite {
+            None => Ok(self.out),
+            Some(what) => Err(CheckpointError::NonFinite(what)),
+        }
+    }
+}
+
+/// Atomically writes a streamed document — unless it holds a non-finite
+/// value, in which case nothing is staged and the previous file at
+/// `path` stays the checkpoint.
+fn save_doc(io: &mut dyn CheckpointIo, path: &Path, doc: DocWriter) -> Result<(), CheckpointError> {
+    let bytes = doc.finish().inspect_err(|e| {
+        OBS.save_errors.inc();
+        rpt_obs::warn!(target: "rpt_tensor::ckpt", "checkpoint save to {} refused: {e}", path.display());
+    })?;
+    atomic_write_with(io, path, bytes.as_bytes())?;
+    Ok(())
+}
+
+fn params_doc(store: &ParamStore) -> DocWriter {
+    let mut w = DocWriter::new(params_bytes(store));
+    w.params(FORMAT_VERSION, store);
+    w.raw("}");
+    w
+}
+
+/// Serializes every parameter of `store` to a JSON string. A non-finite
+/// value is written as `null`, which no loader accepts; [`save_file`]
+/// refuses such a store instead.
 pub fn to_json(store: &ParamStore) -> String {
-    json!({
-        "format_version": FORMAT_VERSION,
-        "params": param_records(store),
-    })
-    .to_string()
+    params_doc(store).out
 }
 
-fn parse_shape(record: &Json, name: &str, key: &str) -> Result<Vec<usize>, CheckpointError> {
-    record
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure(format!("param {name} without {key}")))?
-        .iter()
-        .map(|d| d.as_u64().map(|d| d as usize))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure(format!("param {name} has non-integer {key}")))
+// ---------------------------------------------------------------------------
+// Streaming reader
+// ---------------------------------------------------------------------------
+//
+// Loaders decode the whole document through `rpt_json::Reader` into the
+// `Raw*` mirrors below — small members as `Json` values, numeric arrays
+// straight into vectors — and only then validate, in a fixed order that
+// does not depend on the order of keys in the file. A document that fails
+// any check therefore leaves the caller's store untouched.
+
+/// An array member: `None` if absent, `Some(None)` if present but not an
+/// array (of acceptable numbers, for a numeric member).
+type Field<T> = Option<Option<Vec<T>>>;
+
+/// Walks the next value as an object, handing each key to `f` (which
+/// consumes its value). Any other value is skipped and reads as an object
+/// without keys, just as `Json::get` on a non-object finds nothing.
+fn each_key(
+    r: &mut Reader,
+    mut f: impl FnMut(&mut Reader, &str) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    if r.peek()? != Next::Object {
+        return r.skip();
+    }
+    r.begin_object()?;
+    while let Some(key) = r.next_key()? {
+        f(r, &key)?;
+    }
+    Ok(())
 }
 
-fn parse_floats(record: &Json, name: &str, key: &str) -> Result<Vec<f32>, CheckpointError> {
-    record
-        .get(key)
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure(format!("param {name} without {key}")))?
-        .iter()
-        .map(|x| x.as_f64().map(|x| x as f32))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure(format!("param {name} has non-numeric {key}")))
+/// Decodes the next value as an array, `item` per element; `None` (the
+/// value consumed) if it is not an array.
+fn each_item<T>(
+    r: &mut Reader,
+    mut item: impl FnMut(&mut Reader) -> Result<T, JsonError>,
+) -> Result<Option<Vec<T>>, JsonError> {
+    if r.peek()? != Next::Array {
+        r.skip()?;
+        return Ok(None);
+    }
+    r.begin_array()?;
+    let mut out = Vec::new();
+    while r.next_element()? {
+        out.push(item(r)?);
+    }
+    Ok(Some(out))
 }
 
-fn load_params_doc(store: &mut ParamStore, doc: &Json) -> Result<(), CheckpointError> {
-    doc.get("format_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("missing format_version"))?;
-    let params = doc
-        .get("params")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("missing params array"))?;
-    for record in params {
-        let name = record
-            .get("name")
+/// `None` for a JSON `null`, else the value decoded by `f`.
+fn nullable<T>(
+    r: &mut Reader,
+    f: impl FnOnce(&mut Reader) -> Result<T, JsonError>,
+) -> Result<Option<T>, JsonError> {
+    if r.peek()? == Next::Null {
+        r.skip()?;
+        return Ok(None);
+    }
+    f(r).map(Some)
+}
+
+/// A `{"name","shape",<float arrays>}` record (a parameter, a pending
+/// gradient, or Adam's `m`/`v` pair in `a`/`b`), not yet validated.
+#[derive(Default)]
+struct RawTensor {
+    name: Option<Json>,
+    shape: Option<Json>,
+    a: Field<f32>,
+    b: Field<f32>,
+}
+
+impl RawTensor {
+    fn decode(r: &mut Reader, a_key: &str, b_key: Option<&str>) -> Result<Self, JsonError> {
+        let mut rec = RawTensor::default();
+        each_key(r, |r, key| {
+            match key {
+                "name" => rec.name = Some(r.value()?),
+                "shape" => rec.shape = Some(r.value()?),
+                k if k == a_key => rec.a = Some(r.f32_array()?),
+                k if Some(k) == b_key => rec.b = Some(r.f32_array()?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(rec)
+    }
+
+    fn name(&self, missing: &str) -> Result<String, CheckpointError> {
+        self.name
+            .as_ref()
             .and_then(Json::as_str)
-            .ok_or_else(|| structure("param record without name"))?;
-        let shape = parse_shape(record, name, "shape")?;
-        let data = parse_floats(record, name, "data")?;
+            .map(str::to_string)
+            .ok_or_else(|| structure(missing))
+    }
 
-        let Some(id) = store.find(name) else {
-            // Extra params in the file are tolerated (forward compat).
+    fn shape(&self, name: &str) -> Result<Vec<usize>, CheckpointError> {
+        self.shape
+            .as_ref()
+            .and_then(Json::as_array)
+            .ok_or_else(|| structure(format!("param {name} without shape")))?
+            .iter()
+            .map(|d| d.as_u64().map(|d| d as usize))
+            .collect::<Option<_>>()
+            .ok_or_else(|| structure(format!("param {name} has non-integer shape")))
+    }
+}
+
+/// A numeric-array member, present and all numbers.
+fn nums<T>(field: Field<T>, name: &str, key: &str) -> Result<Vec<T>, CheckpointError> {
+    match field {
+        None => Err(structure(format!("param {name} without {key}"))),
+        Some(None) => Err(structure(format!("param {name} has non-numeric {key}"))),
+        Some(Some(v)) => Ok(v),
+    }
+}
+
+/// A tensor from decoded parts; an inconsistent or overflowing shape is a
+/// `Mismatch` prefixed with `what`.
+fn tensor(data: Vec<f32>, shape: &[usize], what: &str) -> Result<Tensor, CheckpointError> {
+    Tensor::from_vec(data, shape).map_err(|e| structure(format!("{what}: {e}")))
+}
+
+/// Errors unless `store`'s parameter `name` (if it has one) is shaped
+/// `shape`; `subject` ("... has") leads the message.
+fn check_shape(
+    store: &ParamStore,
+    name: &str,
+    shape: &[usize],
+    subject: &str,
+) -> Result<(), CheckpointError> {
+    match store.find(name) {
+        Some(id) if store.value(id).shape() != shape => Err(structure(format!(
+            "{subject} shape {shape:?} but the parameter is {:?}",
+            store.value(id).shape()
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// A checkpoint document as decoded: the top-level sections one loader
+/// wants; the rest are skipped (validated, never built).
+#[derive(Default)]
+struct RawDoc {
+    format_version: Option<Json>,
+    params: Field<RawTensor>,
+    train: Option<RawTrain>,
+    quant: Option<RawQuant>,
+}
+
+/// The top-level sections a loader decodes.
+#[derive(Clone, Copy, PartialEq)]
+enum Want {
+    Params,
+    Train,
+    Quant,
+}
+
+impl RawDoc {
+    fn decode(json: &str, want: Want) -> Result<Self, JsonError> {
+        let mut r = Reader::new(json);
+        let mut doc = RawDoc::default();
+        each_key(&mut r, |r, key| {
+            match key {
+                "format_version" => doc.format_version = Some(r.value()?),
+                "params" if want != Want::Quant => {
+                    doc.params = Some(each_item(r, |r| RawTensor::decode(r, "data", None))?)
+                }
+                "train" if want == Want::Train => doc.train = Some(RawTrain::decode(r)?),
+                "quant" if want == Want::Quant => doc.quant = Some(RawQuant::decode(r)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        Ok(doc)
+    }
+
+    /// The parameter records, after the format-version check.
+    fn param_records(&mut self) -> Result<Vec<RawTensor>, CheckpointError> {
+        self.format_version
+            .as_ref()
+            .and_then(Json::as_u64)
+            .ok_or_else(|| structure("missing format_version"))?;
+        self.params
+            .take()
+            .flatten()
+            .ok_or_else(|| structure("missing params array"))
+    }
+}
+
+/// Validates parameter records against `store` — matched by name, extra
+/// names in the file tolerated (forward compat) — into the updates that a
+/// successful load commits.
+fn param_updates(
+    store: &ParamStore,
+    records: Vec<RawTensor>,
+) -> Result<Vec<(ParamId, Tensor)>, CheckpointError> {
+    let mut updates = Vec::new();
+    for rec in records {
+        let name = rec.name("param record without name")?;
+        let shape = rec.shape(&name)?;
+        let data = nums(rec.a, &name, "data")?;
+        let Some(id) = store.find(&name) else {
             continue;
         };
         if store.value(id).shape() != shape.as_slice() {
@@ -392,19 +693,26 @@ fn load_params_doc(store: &mut ParamStore, doc: &Json) -> Result<(), CheckpointE
                 shape
             )));
         }
-        let t = Tensor::from_vec(data, &shape)
-            .map_err(|e| structure(format!("{name}: {e}")))?;
+        updates.push((id, tensor(data, &shape, &name)?));
+    }
+    Ok(updates)
+}
+
+fn commit(store: &mut ParamStore, updates: Vec<(ParamId, Tensor)>) {
+    for (id, t) in updates {
         store.set_value(id, t);
     }
-    Ok(())
 }
 
 /// Loads parameter values from JSON into an existing store, matching by
 /// name. Every parameter in the store must be present with the same shape.
 /// Accepts both params-only (v1) and full train-state (v2) checkpoints.
+/// All or nothing: on any error the store is left unchanged.
 pub fn load_json(store: &mut ParamStore, json: &str) -> Result<(), CheckpointError> {
-    let doc = Json::parse(json)?;
-    load_params_doc(store, &doc)
+    let mut doc = RawDoc::decode(json, Want::Params)?;
+    let updates = param_updates(store, doc.param_records()?)?;
+    commit(store, updates);
+    Ok(())
 }
 
 /// Parses a checkpoint into a *fresh* store holding every parameter the
@@ -412,34 +720,24 @@ pub fn load_json(store: &mut ParamStore, json: &str) -> Result<(), CheckpointErr
 /// `rpt quantize`) that transform checkpoints without rebuilding the
 /// architecture that produced them.
 pub fn load_params_any(json: &str) -> Result<ParamStore, CheckpointError> {
-    let doc = Json::parse(json)?;
-    doc.get("format_version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("missing format_version"))?;
-    let params = doc
-        .get("params")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("missing params array"))?;
+    let mut doc = RawDoc::decode(json, Want::Params)?;
     let mut store = ParamStore::new();
-    for record in params {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("param record without name"))?;
-        if store.find(name).is_some() {
+    for rec in doc.param_records()? {
+        let name = rec.name("param record without name")?;
+        if store.find(&name).is_some() {
             return Err(structure(format!("duplicate parameter {name}")));
         }
-        let shape = parse_shape(record, name, "shape")?;
-        let data = parse_floats(record, name, "data")?;
-        let t = Tensor::from_vec(data, &shape)
-            .map_err(|e| structure(format!("{name}: {e}")))?;
+        let shape = rec.shape(&name)?;
+        let data = nums(rec.a, &name, "data")?;
+        let t = tensor(data, &shape, &name)?;
         store.register(name, t);
     }
     Ok(store)
 }
 
 /// Writes the store to a file, atomically: a crash mid-save leaves any
-/// previous checkpoint at `path` intact.
+/// previous checkpoint at `path` intact. A store holding a NaN or ±inf is
+/// refused with [`CheckpointError::NonFinite`] before anything is staged.
 pub fn save_file(store: &ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     save_file_with(&mut StdCheckpointIo, store, path)
 }
@@ -451,14 +749,23 @@ pub fn save_file_with(
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
     let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), to_json(store).as_bytes())?;
-    Ok(())
+    save_doc(io, path.as_ref(), params_doc(store))
+}
+
+/// Reads a whole checkpoint document into a buffer of at least
+/// [`DOC_BUF_MIN`] bytes.
+fn read_doc(path: impl AsRef<Path>) -> io::Result<String> {
+    let mut file = fs::File::open(path)?;
+    let len = file.metadata()?.len() as usize;
+    let mut text = String::with_capacity(len.max(DOC_BUF_MIN));
+    file.read_to_string(&mut text)?;
+    Ok(text)
 }
 
 /// Loads a file into the store.
 pub fn load_file(store: &mut ParamStore, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
-    let json = fs::read_to_string(path)?;
+    let json = read_doc(path)?;
     OBS.loads.inc();
     OBS.bytes_read.add(json.len() as u64);
     load_json(store, &json)
@@ -473,7 +780,7 @@ const TRAIN_FORMAT_VERSION: u32 = 2;
 
 /// Everything beyond parameter values a training run needs to resume
 /// bit-identically: Adam's moments and step counter, the RNG streams that
-/// drive batching/dropout, the completed-step count, and the loss curve.
+/// drive batching/dropout, the completed-step counter, and the loss curve.
 ///
 /// Versioning rules: a v2 file is `{"format_version":2, "params":[...],
 /// "train":{...}}`. The `params` array is byte-compatible with v1, so
@@ -541,208 +848,332 @@ pub struct PendingGrad {
     pub grads: Vec<(String, Tensor)>,
 }
 
-/// Serializes parameters plus full training state (format_version 2).
-pub fn train_state_to_json(store: &ParamStore, state: &TrainState) -> String {
-    let adam = match &state.adam {
-        None => Json::Null,
-        Some(a) => json!({
-            "t": a.t,
-            "moments": a
-                .moments
-                .iter()
-                .map(|(name, m, v)| {
-                    json!({
-                        "name": name.as_str(),
-                        "shape": shape_json(m.shape()),
-                        "m": floats_json(m.data()),
-                        "v": floats_json(v.data()),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }),
-    };
-    let rng: Vec<Json> = state
-        .rng_streams
+fn train_doc(store: &ParamStore, state: &TrainState) -> DocWriter {
+    let moments = state.adam.iter().flat_map(|a| &a.moments);
+    let pending = state
+        .corpus
         .iter()
-        .map(|(name, s)| {
-            json!({
-                "name": name.as_str(),
-                "state": s
-                    .iter()
-                    .map(|w| Json::from(format!("{w:#x}")))
-                    .collect::<Vec<_>>(),
-            })
-        })
-        .collect();
-    let corpus = match &state.corpus {
-        None => Json::Null,
-        Some(c) => corpus_pos_json(c),
-    };
-    json!({
-        "format_version": TRAIN_FORMAT_VERSION,
-        "params": param_records(store),
-        "train": {
-            "adam": adam,
-            "rng": rng,
-            "steps_done": state.steps_done,
-            "losses": floats_json(&state.losses),
-            "corpus": corpus,
-        },
-    })
-    .to_string()
-}
-
-fn corpus_pos_json(c: &CorpusPos) -> Json {
-    let accum = match &c.accum {
-        None => Json::Null,
-        Some(a) => json!({
-            "micro_done": a.micro_done,
-            "window_seed": format!("{:#x}", a.window_seed),
-            "pending": a
-                .pending
-                .iter()
-                .map(|p| {
-                    json!({
-                        "loss": p.loss,
-                        "weight": p.weight,
-                        "grads": p
-                            .grads
-                            .iter()
-                            .map(|(name, g)| {
-                                json!({
-                                    "name": name.as_str(),
-                                    "shape": shape_json(g.shape()),
-                                    "data": floats_json(g.data()),
-                                })
-                            })
-                            .collect::<Vec<_>>(),
-                    })
-                })
-                .collect::<Vec<_>>(),
-        }),
-    };
-    json!({
-        "epoch": c.epoch,
-        "shard": c.shard,
-        "offset": c.offset,
-        "accum": accum,
-    })
-}
-
-fn parse_corpus_pos(store: &ParamStore, doc: &Json) -> Result<CorpusPos, CheckpointError> {
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("corpus position without {key}")))
-    };
-    let accum = match doc.get("accum") {
-        None | Some(Json::Null) => None,
+        .flat_map(|c| &c.accum)
+        .flat_map(|a| &a.pending);
+    let reserve = params_bytes(store)
+        + moments
+            .map(|(n, m, v)| record_bytes(n, m.numel() + v.numel()))
+            .sum::<usize>()
+        + pending
+            .flat_map(|p| &p.grads)
+            .map(|(n, g)| record_bytes(n, g.numel()))
+            .sum::<usize>()
+        + state
+            .rng_streams
+            .iter()
+            .map(|(n, _)| record_bytes(n, 0))
+            .sum::<usize>()
+        + FLOAT_BYTES * state.losses.len();
+    let mut w = DocWriter::new(reserve);
+    w.params(TRAIN_FORMAT_VERSION, store);
+    w.raw(",\"train\":{\"adam\":");
+    match &state.adam {
+        None => w.raw("null"),
         Some(a) => {
-            let micro_done = a
-                .get("micro_done")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| structure("accum state without micro_done"))?;
-            let hex = a
-                .get("window_seed")
-                .and_then(Json::as_str)
-                .and_then(|s| s.strip_prefix("0x"))
-                .ok_or_else(|| structure("accum state without hex window_seed"))?;
-            let window_seed = u64::from_str_radix(hex, 16)
-                .map_err(|_| structure("accum state has a malformed window_seed"))?;
-            let mut pending = Vec::new();
-            for record in a
-                .get("pending")
-                .and_then(Json::as_array)
-                .ok_or_else(|| structure("accum state without pending array"))?
-            {
-                let loss = record
-                    .get("loss")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| structure("pending gradient without loss"))?
-                    as f32;
-                let weight = record
-                    .get("weight")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| structure("pending gradient without weight"))?
-                    as f32;
-                let mut grads = Vec::new();
-                for g in record
-                    .get("grads")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| structure("pending gradient without grads array"))?
-                {
-                    let name = g
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| structure("pending gradient record without name"))?;
-                    let shape = parse_shape(g, name, "shape")?;
-                    let data = parse_floats(g, name, "data")?;
-                    let t = Tensor::from_vec(data, &shape)
-                        .map_err(|e| structure(format!("pending gradient for {name}: {e}")))?;
-                    if let Some(id) = store.find(name) {
-                        if store.value(id).shape() != shape.as_slice() {
-                            return Err(structure(format!(
-                                "pending gradient for {} has shape {:?} but the parameter is {:?}",
-                                name,
-                                shape,
-                                store.value(id).shape()
-                            )));
-                        }
-                    }
-                    grads.push((name.to_string(), t));
-                }
-                pending.push(PendingGrad { loss, weight, grads });
-            }
-            Some(AccumState {
-                micro_done,
-                window_seed,
-                pending,
-            })
+            w.raw("{\"t\":");
+            w.int(a.t);
+            w.raw(",\"moments\":");
+            w.list(&a.moments, |w, (name, m, v)| {
+                w.tensor(name, m.shape(), &[("m", m.data()), ("v", v.data())])
+            });
+            w.raw("}");
         }
-    };
-    Ok(CorpusPos {
-        epoch: field("epoch")?,
-        shard: field("shard")?,
-        offset: field("offset")?,
-        accum,
-    })
+    }
+    w.raw(",\"rng\":");
+    w.list(&state.rng_streams, |w, (name, s)| {
+        w.raw("{\"name\":");
+        w.string(name);
+        w.raw(",\"state\":");
+        w.list(s, |w, word| w.string(&format!("{word:#x}")));
+        w.raw("}");
+    });
+    w.raw(",\"steps_done\":");
+    w.int(state.steps_done);
+    w.raw(",\"losses\":");
+    w.floats("losses", &state.losses);
+    w.raw(",\"corpus\":");
+    match &state.corpus {
+        None => w.raw("null"),
+        Some(c) => write_corpus_pos(&mut w, c),
+    }
+    w.raw("}}");
+    w
 }
 
-fn parse_adam(store: &ParamStore, doc: &Json) -> Result<AdamState, CheckpointError> {
-    let t = doc
-        .get("t")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("adam state without step counter t"))?;
-    let mut moments = Vec::new();
-    for record in doc
-        .get("moments")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("adam state without moments array"))?
-    {
-        let name = record
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| structure("adam moment record without name"))?;
-        let shape = parse_shape(record, name, "shape")?;
-        let m = parse_floats(record, name, "m")?;
-        let v = parse_floats(record, name, "v")?;
-        let m = Tensor::from_vec(m, &shape)
-            .map_err(|e| structure(format!("adam m for {name}: {e}")))?;
-        let v = Tensor::from_vec(v, &shape)
-            .map_err(|e| structure(format!("adam v for {name}: {e}")))?;
-        if let Some(id) = store.find(name) {
-            if store.value(id).shape() != shape.as_slice() {
-                return Err(structure(format!(
-                    "adam moments for {} have shape {:?} but the parameter is {:?}",
-                    name,
-                    shape,
-                    store.value(id).shape()
-                )));
-            }
+fn write_corpus_pos(w: &mut DocWriter, c: &CorpusPos) {
+    w.raw("{\"epoch\":");
+    w.int(c.epoch);
+    w.raw(",\"shard\":");
+    w.int(c.shard);
+    w.raw(",\"offset\":");
+    w.int(c.offset);
+    w.raw(",\"accum\":");
+    match &c.accum {
+        None => w.raw("null"),
+        Some(a) => {
+            w.raw("{\"micro_done\":");
+            w.int(a.micro_done);
+            w.raw(",\"window_seed\":");
+            w.string(&format!("{:#x}", a.window_seed));
+            w.raw(",\"pending\":");
+            w.list(&a.pending, |w, p| {
+                w.raw("{\"loss\":");
+                w.float("a pending gradient's loss", p.loss);
+                w.raw(",\"weight\":");
+                w.float("a pending gradient's weight", p.weight);
+                w.raw(",\"grads\":");
+                w.list(&p.grads, |w, (name, g)| {
+                    w.tensor(name, g.shape(), &[("data", g.data())])
+                });
+                w.raw("}");
+            });
+            w.raw("}");
         }
-        moments.push((name.to_string(), m, v));
     }
-    Ok(AdamState { t, moments })
+    w.raw("}");
+}
+
+/// Serializes parameters plus full training state (format_version 2).
+/// Non-finite values are written as `null`; [`save_train_file`] refuses
+/// such a state instead.
+pub fn train_state_to_json(store: &ParamStore, state: &TrainState) -> String {
+    train_doc(store, state).out
+}
+
+/// The `"train"` object as decoded.
+#[derive(Default)]
+struct RawTrain {
+    /// `Some(None)` for `"adam": null`.
+    adam: Option<Option<RawAdam>>,
+    rng: Option<Json>,
+    steps_done: Option<Json>,
+    losses: Field<f32>,
+    /// `Some(None)` for `"corpus": null`.
+    corpus: Option<Option<RawCorpus>>,
+}
+
+#[derive(Default)]
+struct RawAdam {
+    t: Option<Json>,
+    moments: Field<RawTensor>,
+}
+
+#[derive(Default)]
+struct RawCorpus {
+    epoch: Option<Json>,
+    shard: Option<Json>,
+    offset: Option<Json>,
+    /// `Some(None)` for `"accum": null`.
+    accum: Option<Option<RawAccum>>,
+}
+
+#[derive(Default)]
+struct RawAccum {
+    micro_done: Option<Json>,
+    window_seed: Option<Json>,
+    pending: Field<RawPending>,
+}
+
+#[derive(Default)]
+struct RawPending {
+    loss: Option<Json>,
+    weight: Option<Json>,
+    grads: Field<RawTensor>,
+}
+
+impl RawTrain {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut t = RawTrain::default();
+        each_key(r, |r, key| {
+            match key {
+                "adam" => t.adam = Some(nullable(r, RawAdam::decode)?),
+                "rng" => t.rng = Some(r.value()?),
+                "steps_done" => t.steps_done = Some(r.value()?),
+                "losses" => t.losses = Some(r.f32_array()?),
+                "corpus" => t.corpus = Some(nullable(r, RawCorpus::decode)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(t)
+    }
+}
+
+impl RawAdam {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut a = RawAdam::default();
+        each_key(r, |r, key| {
+            match key {
+                "t" => a.t = Some(r.value()?),
+                "moments" => {
+                    a.moments = Some(each_item(r, |r| RawTensor::decode(r, "m", Some("v")))?)
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(a)
+    }
+
+    fn validate(self, store: &ParamStore) -> Result<AdamState, CheckpointError> {
+        let t = self
+            .t
+            .as_ref()
+            .and_then(Json::as_u64)
+            .ok_or_else(|| structure("adam state without step counter t"))?;
+        let mut moments = Vec::new();
+        for rec in self
+            .moments
+            .flatten()
+            .ok_or_else(|| structure("adam state without moments array"))?
+        {
+            let name = rec.name("adam moment record without name")?;
+            let shape = rec.shape(&name)?;
+            let m = nums(rec.a, &name, "m")?;
+            let v = nums(rec.b, &name, "v")?;
+            let m = tensor(m, &shape, &format!("adam m for {name}"))?;
+            let v = tensor(v, &shape, &format!("adam v for {name}"))?;
+            check_shape(
+                store,
+                &name,
+                &shape,
+                &format!("adam moments for {name} have"),
+            )?;
+            moments.push((name, m, v));
+        }
+        Ok(AdamState { t, moments })
+    }
+}
+
+impl RawCorpus {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut c = RawCorpus::default();
+        each_key(r, |r, key| {
+            match key {
+                "epoch" => c.epoch = Some(r.value()?),
+                "shard" => c.shard = Some(r.value()?),
+                "offset" => c.offset = Some(r.value()?),
+                "accum" => c.accum = Some(nullable(r, RawAccum::decode)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(c)
+    }
+
+    fn validate(self, store: &ParamStore) -> Result<CorpusPos, CheckpointError> {
+        let field = |v: &Option<Json>, key: &str| {
+            v.as_ref()
+                .and_then(Json::as_u64)
+                .ok_or_else(|| structure(format!("corpus position without {key}")))
+        };
+        let accum = match self.accum.flatten() {
+            None => None,
+            Some(a) => Some(a.validate(store)?),
+        };
+        Ok(CorpusPos {
+            epoch: field(&self.epoch, "epoch")?,
+            shard: field(&self.shard, "shard")?,
+            offset: field(&self.offset, "offset")?,
+            accum,
+        })
+    }
+}
+
+impl RawAccum {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut a = RawAccum::default();
+        each_key(r, |r, key| {
+            match key {
+                "micro_done" => a.micro_done = Some(r.value()?),
+                "window_seed" => a.window_seed = Some(r.value()?),
+                "pending" => a.pending = Some(each_item(r, RawPending::decode)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(a)
+    }
+
+    fn validate(self, store: &ParamStore) -> Result<AccumState, CheckpointError> {
+        let micro_done = self
+            .micro_done
+            .as_ref()
+            .and_then(Json::as_u64)
+            .ok_or_else(|| structure("accum state without micro_done"))?;
+        let hex = self
+            .window_seed
+            .as_ref()
+            .and_then(Json::as_str)
+            .and_then(|s| s.strip_prefix("0x"))
+            .ok_or_else(|| structure("accum state without hex window_seed"))?;
+        let window_seed = u64::from_str_radix(hex, 16)
+            .map_err(|_| structure("accum state has a malformed window_seed"))?;
+        let mut pending = Vec::new();
+        for p in self
+            .pending
+            .flatten()
+            .ok_or_else(|| structure("accum state without pending array"))?
+        {
+            let scalar = |v: &Option<Json>, missing: &str| {
+                v.as_ref()
+                    .and_then(Json::as_f64)
+                    .map(|x| x as f32)
+                    .ok_or_else(|| structure(missing))
+            };
+            let loss = scalar(&p.loss, "pending gradient without loss")?;
+            let weight = scalar(&p.weight, "pending gradient without weight")?;
+            let mut grads = Vec::new();
+            for g in p
+                .grads
+                .flatten()
+                .ok_or_else(|| structure("pending gradient without grads array"))?
+            {
+                let name = g.name("pending gradient record without name")?;
+                let shape = g.shape(&name)?;
+                let data = nums(g.a, &name, "data")?;
+                let t = tensor(data, &shape, &format!("pending gradient for {name}"))?;
+                check_shape(
+                    store,
+                    &name,
+                    &shape,
+                    &format!("pending gradient for {name} has"),
+                )?;
+                grads.push((name, t));
+            }
+            pending.push(PendingGrad {
+                loss,
+                weight,
+                grads,
+            });
+        }
+        Ok(AccumState {
+            micro_done,
+            window_seed,
+            pending,
+        })
+    }
+}
+
+impl RawPending {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut p = RawPending::default();
+        each_key(r, |r, key| {
+            match key {
+                "loss" => p.loss = Some(r.value()?),
+                "weight" => p.weight = Some(r.value()?),
+                "grads" => p.grads = Some(each_item(r, |r| RawTensor::decode(r, "data", None))?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(p)
+    }
 }
 
 fn parse_rng_streams(doc: &Json) -> Result<Vec<(String, [u64; 4])>, CheckpointError> {
@@ -784,67 +1215,75 @@ fn parse_rng_streams(doc: &Json) -> Result<Vec<(String, [u64; 4])>, CheckpointEr
     Ok(streams)
 }
 
+impl RawTrain {
+    fn validate(self, store: &ParamStore) -> Result<TrainState, CheckpointError> {
+        let adam = match self.adam.flatten() {
+            None => None,
+            Some(a) => Some(a.validate(store)?),
+        };
+        let rng_streams = match &self.rng {
+            None => Vec::new(),
+            Some(r) => parse_rng_streams(r)?,
+        };
+        let steps_done = self
+            .steps_done
+            .as_ref()
+            .and_then(Json::as_u64)
+            .ok_or_else(|| structure("train state without steps_done"))?;
+        let losses = match self.losses {
+            None => return Err(structure("train state without losses")),
+            Some(None) => return Err(structure("train state has non-numeric losses")),
+            Some(Some(l)) => l,
+        };
+        if losses.len() as u64 != steps_done {
+            return Err(structure(format!(
+                "train state records {} losses for {} completed steps",
+                losses.len(),
+                steps_done
+            )));
+        }
+        if let Some(a) = &adam {
+            if a.t != steps_done {
+                return Err(structure(format!(
+                    "adam step counter {} disagrees with steps_done {}",
+                    a.t, steps_done
+                )));
+            }
+        }
+        let corpus = match self.corpus.flatten() {
+            None => None,
+            Some(c) => Some(c.validate(store)?),
+        };
+        Ok(TrainState {
+            adam,
+            rng_streams,
+            steps_done,
+            losses,
+            corpus,
+        })
+    }
+}
+
 /// Loads parameters into `store` and returns the training state. v1
 /// (params-only) checkpoints yield `TrainState::default()` — Adam moments
-/// are cleanly reinitialized by the resuming trainer.
+/// are cleanly reinitialized by the resuming trainer. All or nothing: the
+/// whole document is decoded and validated before the store changes.
 pub fn load_train_json(
     store: &mut ParamStore,
     json: &str,
 ) -> Result<TrainState, CheckpointError> {
-    let doc = Json::parse(json)?;
-    load_params_doc(store, &doc)?;
-    let Some(train) = doc.get("train") else {
-        return Ok(TrainState::default());
+    let mut doc = RawDoc::decode(json, Want::Train)?;
+    let updates = param_updates(store, doc.param_records()?)?;
+    let state = match doc.train {
+        None => TrainState::default(),
+        Some(t) => t.validate(store)?,
     };
-    let adam = match train.get("adam") {
-        None | Some(Json::Null) => None,
-        Some(a) => Some(parse_adam(store, a)?),
-    };
-    let rng_streams = match train.get("rng") {
-        None => Vec::new(),
-        Some(r) => parse_rng_streams(r)?,
-    };
-    let steps_done = train
-        .get("steps_done")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| structure("train state without steps_done"))?;
-    let losses: Vec<f32> = train
-        .get("losses")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("train state without losses"))?
-        .iter()
-        .map(|x| x.as_f64().map(|x| x as f32))
-        .collect::<Option<_>>()
-        .ok_or_else(|| structure("train state has non-numeric losses"))?;
-    if losses.len() as u64 != steps_done {
-        return Err(structure(format!(
-            "train state records {} losses for {} completed steps",
-            losses.len(),
-            steps_done
-        )));
-    }
-    if let Some(a) = &adam {
-        if a.t != steps_done {
-            return Err(structure(format!(
-                "adam step counter {} disagrees with steps_done {}",
-                a.t, steps_done
-            )));
-        }
-    }
-    let corpus = match train.get("corpus") {
-        None | Some(Json::Null) => None,
-        Some(c) => Some(parse_corpus_pos(store, c)?),
-    };
-    Ok(TrainState {
-        adam,
-        rng_streams,
-        steps_done,
-        losses,
-        corpus,
-    })
+    commit(store, updates);
+    Ok(state)
 }
 
-/// Atomically writes a full train-state checkpoint.
+/// Atomically writes a full train-state checkpoint, refusing (before
+/// anything is staged) a state holding a non-finite value.
 pub fn save_train_file(
     store: &ParamStore,
     state: &TrainState,
@@ -861,8 +1300,7 @@ pub fn save_train_file_with(
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
     let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), train_state_to_json(store, state).as_bytes())?;
-    Ok(())
+    save_doc(io, path.as_ref(), train_doc(store, state))
 }
 
 /// Loads a full train-state checkpoint file.
@@ -871,7 +1309,7 @@ pub fn load_train_file(
     path: impl AsRef<Path>,
 ) -> Result<TrainState, CheckpointError> {
     let _t = rpt_obs::span("ckpt.load", &OBS.load_ms);
-    let json = fs::read_to_string(path)?;
+    let json = read_doc(path)?;
     OBS.loads.inc();
     OBS.bytes_read.add(json.len() as u64);
     load_train_json(store, &json)
@@ -883,6 +1321,39 @@ pub fn load_train_file(
 
 /// Identifier of the quantized-tensor section layout this build writes.
 pub const QUANT_FORMAT: &str = "quant-v1";
+
+fn quant_doc<'a>(
+    store: &ParamStore,
+    tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
+) -> DocWriter {
+    let tensors: Vec<_> = tensors.into_iter().collect();
+    // int8 weights take at most 5 bytes each ("-128,")
+    let reserve = params_bytes(store)
+        + tensors
+            .iter()
+            .map(|(name, qm)| record_bytes(name, qm.scales().len()) + 5 * qm.weights().len())
+            .sum::<usize>();
+    let mut w = DocWriter::new(reserve);
+    w.params(FORMAT_VERSION, store);
+    w.raw(",\"quant\":{\"format\":");
+    w.string(QUANT_FORMAT);
+    w.raw(",\"tensors\":");
+    w.list(tensors, |w, (name, qm)| {
+        w.raw("{\"name\":");
+        w.string(name);
+        w.raw(",\"n_out\":");
+        w.int(qm.n_out());
+        w.raw(",\"k\":");
+        w.int(qm.k());
+        w.raw(",\"scales\":");
+        w.floats(name, qm.scales());
+        w.raw(",\"data\":");
+        w.list(qm.weights(), |w, &q| w.int(q));
+        w.raw("}");
+    });
+    w.raw("}}");
+    w
+}
 
 /// Serializes the f32 parameters plus a `"quant"` section holding int8
 /// tensors and their per-row scales:
@@ -896,88 +1367,91 @@ pub const QUANT_FORMAT: &str = "quant-v1";
 /// ```
 ///
 /// `data` is the `[n_out, k]` row-major i8 weights as JSON integers. The
-/// `params` array is byte-compatible with v1, and [`load_params_doc`]
-/// ignores unknown top-level keys — so quantized checkpoints load
-/// anywhere a plain checkpoint does, with the quant section simply unused.
+/// `params` array is byte-compatible with v1, and [`load_json`] ignores
+/// unknown top-level keys — so quantized checkpoints load anywhere a
+/// plain checkpoint does, with the quant section simply unused.
 pub fn quant_to_json<'a>(
     store: &ParamStore,
     tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
 ) -> String {
-    let records: Vec<Json> = tensors
-        .into_iter()
-        .map(|(name, qm)| {
-            json!({
-                "name": name,
-                "n_out": qm.n_out(),
-                "k": qm.k(),
-                "scales": floats_json(qm.scales()),
-                "data": qm.weights().iter().map(|&w| Json::from(w)).collect::<Vec<_>>(),
-            })
-        })
-        .collect();
-    json!({
-        "format_version": FORMAT_VERSION,
-        "params": param_records(store),
-        "quant": {
-            "format": QUANT_FORMAT,
-            "tensors": records,
-        },
-    })
-    .to_string()
+    quant_doc(store, tensors).out
 }
 
-/// Parses the `"quant"` section of a checkpoint, returning the named int8
-/// tensors — or `None` when the checkpoint has no such section (a plain
-/// f32 checkpoint).
-pub fn load_quant_json(
-    json: &str,
-) -> Result<Option<Vec<(String, crate::quant::QuantMatrix)>>, CheckpointError> {
-    let doc = Json::parse(json)?;
-    let Some(quant) = doc.get("quant") else {
-        return Ok(None);
-    };
-    let format = quant
-        .get("format")
-        .and_then(Json::as_str)
-        .ok_or_else(|| structure("quant section without format"))?;
-    if format != QUANT_FORMAT {
-        return Err(structure(format!(
-            "unsupported quant format {format:?} (this build reads {QUANT_FORMAT:?})"
-        )));
+/// The `"quant"` section as decoded.
+#[derive(Default)]
+struct RawQuant {
+    format: Option<Json>,
+    tensors: Field<RawQTensor>,
+}
+
+#[derive(Default)]
+struct RawQTensor {
+    name: Option<Json>,
+    n_out: Option<Json>,
+    k: Option<Json>,
+    scales: Field<f32>,
+    data: Field<i8>,
+}
+
+impl RawQuant {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut q = RawQuant::default();
+        each_key(r, |r, key| {
+            match key {
+                "format" => q.format = Some(r.value()?),
+                "tensors" => q.tensors = Some(each_item(r, RawQTensor::decode)?),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(q)
     }
-    let mut out = Vec::new();
-    for record in quant
-        .get("tensors")
-        .and_then(Json::as_array)
-        .ok_or_else(|| structure("quant section without tensors array"))?
-    {
-        let name = record
-            .get("name")
+}
+
+impl RawQTensor {
+    fn decode(r: &mut Reader) -> Result<Self, JsonError> {
+        let mut t = RawQTensor::default();
+        each_key(r, |r, key| {
+            match key {
+                "name" => t.name = Some(r.value()?),
+                "n_out" => t.n_out = Some(r.value()?),
+                "k" => t.k = Some(r.value()?),
+                "scales" => t.scales = Some(r.f32_array()?),
+                "data" => {
+                    t.data = Some(r.number_array(|x| {
+                        x.as_i64()
+                            .filter(|v| (-128..=127).contains(v))
+                            .map(|v| v as i8)
+                    })?)
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(t)
+    }
+
+    fn validate(self) -> Result<(String, crate::quant::QuantMatrix), CheckpointError> {
+        let name = self
+            .name
+            .as_ref()
             .and_then(Json::as_str)
-            .ok_or_else(|| structure("quant tensor without name"))?;
-        let n_out = record
-            .get("n_out")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("quant tensor {name} without n_out")))?
-            as usize;
-        let k = record
-            .get("k")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| structure(format!("quant tensor {name} without k")))?
-            as usize;
-        let scales = parse_floats(record, name, "scales")?;
-        let data: Vec<i8> = record
-            .get("data")
-            .and_then(Json::as_array)
-            .ok_or_else(|| structure(format!("quant tensor {name} without data")))?
-            .iter()
-            .map(|x| {
-                x.as_i64()
-                    .filter(|v| (-128..=127).contains(v))
-                    .map(|v| v as i8)
-            })
-            .collect::<Option<_>>()
-            .ok_or_else(|| structure(format!("quant tensor {name} has non-i8 data")))?;
+            .ok_or_else(|| structure("quant tensor without name"))?
+            .to_string();
+        let dim = |v: &Option<Json>, key: &str| {
+            v.as_ref()
+                .and_then(Json::as_u64)
+                .map(|d| d as usize)
+                .ok_or_else(|| structure(format!("quant tensor {name} without {key}")))
+        };
+        let n_out = dim(&self.n_out, "n_out")?;
+        let k = dim(&self.k, "k")?;
+        let scales = nums(self.scales, &name, "scales")?;
+        let data = match self.data {
+            None => return Err(structure(format!("quant tensor {name} without data"))),
+            Some(None) => return Err(structure(format!("quant tensor {name} has non-i8 data"))),
+            Some(Some(d)) => d,
+        };
         if k > crate::quant::QMATMUL_MAX_K {
             return Err(structure(format!(
                 "quant tensor {name} inner dim {k} exceeds {}",
@@ -996,15 +1470,42 @@ pub fn load_quant_json(
                 scales.len()
             )));
         }
-        out.push((
-            name.to_string(),
-            crate::quant::QuantMatrix::from_parts(n_out, k, data, scales),
-        ));
+        let qm = crate::quant::QuantMatrix::from_parts(n_out, k, data, scales);
+        Ok((name, qm))
     }
-    Ok(Some(out))
 }
 
-/// Atomically writes a quantized checkpoint (params + quant section).
+/// Parses the `"quant"` section of a checkpoint, returning the named int8
+/// tensors — or `None` when the checkpoint has no such section (a plain
+/// f32 checkpoint).
+pub fn load_quant_json(
+    json: &str,
+) -> Result<Option<Vec<(String, crate::quant::QuantMatrix)>>, CheckpointError> {
+    let Some(quant) = RawDoc::decode(json, Want::Quant)?.quant else {
+        return Ok(None);
+    };
+    let format = quant
+        .format
+        .as_ref()
+        .and_then(Json::as_str)
+        .ok_or_else(|| structure("quant section without format"))?;
+    if format != QUANT_FORMAT {
+        return Err(structure(format!(
+            "unsupported quant format {format:?} (this build reads {QUANT_FORMAT:?})"
+        )));
+    }
+    quant
+        .tensors
+        .flatten()
+        .ok_or_else(|| structure("quant section without tensors array"))?
+        .into_iter()
+        .map(RawQTensor::validate)
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// Atomically writes a quantized checkpoint (params + quant section),
+/// refusing a store or scales holding a non-finite value.
 pub fn save_quant_file<'a>(
     store: &ParamStore,
     tensors: impl IntoIterator<Item = (&'a str, &'a crate::quant::QuantMatrix)>,
@@ -1021,8 +1522,7 @@ pub fn save_quant_file_with<'a>(
     path: impl AsRef<Path>,
 ) -> Result<(), CheckpointError> {
     let _t = rpt_obs::span("ckpt.save", &OBS.save_ms);
-    atomic_write_with(io, path.as_ref(), quant_to_json(store, tensors).as_bytes())?;
-    Ok(())
+    save_doc(io, path.as_ref(), quant_doc(store, tensors))
 }
 
 /// Reads the `"quant"` section of a checkpoint file (`None` for plain f32
@@ -1030,7 +1530,7 @@ pub fn save_quant_file_with<'a>(
 pub fn load_quant_file(
     path: impl AsRef<Path>,
 ) -> Result<Option<Vec<(String, crate::quant::QuantMatrix)>>, CheckpointError> {
-    let json = fs::read_to_string(path)?;
+    let json = read_doc(path)?;
     load_quant_json(&json)
 }
 

@@ -25,6 +25,8 @@ static MATMUL_OBS: LazyLock<MatmulObs> = LazyLock::new(|| MatmulObs {
 pub enum TensorError {
     /// The data length does not match the product of the shape dimensions.
     ShapeMismatch { expected: usize, got: usize },
+    /// The product of the shape dimensions overflows `usize`.
+    ShapeOverflow { shape: Vec<usize> },
 }
 
 impl fmt::Display for TensorError {
@@ -32,6 +34,9 @@ impl fmt::Display for TensorError {
         match self {
             TensorError::ShapeMismatch { expected, got } => {
                 write!(f, "shape requires {expected} elements but data has {got}")
+            }
+            TensorError::ShapeOverflow { shape } => {
+                write!(f, "shape {shape:?} has more elements than fit in usize")
             }
         }
     }
@@ -67,7 +72,12 @@ impl fmt::Debug for Tensor {
 impl Tensor {
     /// Builds a tensor from a flat row-major buffer.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Result<Self, TensorError> {
-        let expected: usize = shape.iter().product();
+        let expected = shape
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| TensorError::ShapeOverflow {
+                shape: shape.to_vec(),
+            })?;
         if expected != data.len() {
             return Err(TensorError::ShapeMismatch {
                 expected,

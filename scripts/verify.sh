@@ -39,9 +39,12 @@
 #    suites at 4 threads (disk vs memory, prefetch vs sync, accumulation
 #    vs large batch, mid-window kills — all bit-identical), a fast-mode
 #    streaming bench whose artifact must parse with positive throughput
-#    in every arm, and a CLI smoke drive: `rpt shard` a corpus, run a
-#    short accumulated `rpt pretrain` with checkpoints (the kill), then
-#    --resume from the mid-corpus train state to completion.
+#    in every arm and carry the checkpoint codec's save/load times and
+#    size, and a CLI smoke drive: `rpt shard` a corpus, run a short
+#    accumulated `rpt pretrain` with checkpoints (the kill) at the
+#    default pool width (RPT_THREADS unset: every core) and again at
+#    RPT_THREADS=1 — the two train-state files must be byte-identical —
+#    then --resume from the mid-corpus train state to completion.
 # 10. The observability gate: the tracing bit-identity suite at 1 and 4
 #    threads (instrumented training and serving byte-identical to dark),
 #    a fast-mode traced-vs-dark serve load-generator run — the committed
@@ -263,10 +266,12 @@ d = sys.argv[1]
 s = json.load(open(f"{d}/bench_streaming.json"))
 for key in ("cpu_features", "threads", "shards", "tuples",
             "in_memory_tokens_per_sec", "disk_sync_tokens_per_sec",
-            "disk_prefetch_tokens_per_sec", "overlap_ratio"):
+            "disk_prefetch_tokens_per_sec", "overlap_ratio",
+    "ckpt_save_ns", "ckpt_load_ns", "ckpt_bytes"):
     assert key in s, f"bench_streaming missing {key}"
 for key in ("in_memory_tokens_per_sec", "disk_sync_tokens_per_sec",
-            "disk_prefetch_tokens_per_sec"):
+            "disk_prefetch_tokens_per_sec", "ckpt_save_ns", "ckpt_load_ns",
+            "ckpt_bytes"):
     assert s[key] > 0, f"bench_streaming {key} not positive"
 assert 0.0 <= s["overlap_ratio"] <= 1.0, "overlap_ratio out of range"
 print(f"verify: streaming bench OK (overlap {s['overlap_ratio']:.3f})")
@@ -307,17 +312,28 @@ test -s "$smoke_dir/out2.csv" || {
 # a short accumulated pretraining run over it with a checkpoint dir (the
 # "kill": the run ends with the rolling mid-corpus train-state on disk),
 # then --resume that state to a longer step count. The resumed run must
-# accept the corpus-position checkpoint and finish.
+# accept the corpus-position checkpoint and finish. The first run uses
+# the default pool width (RPT_THREADS unset: every core) and is repeated
+# at RPT_THREADS=1: the data-parallel trainer only schedules shards, so
+# the two train-state files must be byte-identical.
 ./target/release/rpt shard "$smoke_dir/corpus" --shard-size 16 --rows 40 >/dev/null
 test -s "$smoke_dir/corpus/manifest.json" || {
     echo "verify: rpt shard wrote no manifest" >&2
     exit 1
 }
-./target/release/rpt pretrain "$smoke_dir/corpus" --steps 10 \
+env -u RPT_THREADS ./target/release/rpt pretrain "$smoke_dir/corpus" --steps 10 \
     --batch-size 8 --micro-batch 2 --accum-steps 2 \
     --checkpoint-dir "$smoke_dir/stream-ckpt" >/dev/null
 test -s "$smoke_dir/stream-ckpt/train_state.json" || {
     echo "verify: streaming train-state checkpoint missing" >&2
+    exit 1
+}
+RPT_THREADS=1 ./target/release/rpt pretrain "$smoke_dir/corpus" --steps 10 \
+    --batch-size 8 --micro-batch 2 --accum-steps 2 \
+    --checkpoint-dir "$smoke_dir/stream-ckpt-serial" >/dev/null
+cmp "$smoke_dir/stream-ckpt/train_state.json" \
+    "$smoke_dir/stream-ckpt-serial/train_state.json" || {
+    echo "verify: default-width pretraining diverged from RPT_THREADS=1" >&2
     exit 1
 }
 grep -q '"epoch"' "$smoke_dir/stream-ckpt/train_state.json" || {
